@@ -35,6 +35,7 @@ from .hyperelliptic import (
     complex_to_lists,
     compute_periods,
     load_curve,
+    pair_to_complex,
     period_data_to_dict,
 )
 from .isomonodromy import (
@@ -114,14 +115,6 @@ class RunConfig:
 
 
 # -- input parsing ------------------------------------------------------------
-
-def _cpair(value):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"expected [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
-
 
 def _read_json(path, what):
     try:
@@ -227,8 +220,8 @@ def cmd_periods(config):
 def cmd_theta_eval(config):
     data = _read_json(config.input, "theta input")
     try:
-        B = np.array([[_cpair(e) for e in row] for row in data["B"]])
-        z = np.array([_cpair(e) for e in data["z"]])
+        B = np.array([[pair_to_complex(e) for e in row] for row in data["B"]])
+        z = np.array([pair_to_complex(e) for e in data["z"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed theta input: {exc}") from exc
     char = None

@@ -1,31 +1,15 @@
-"""Quasi-permutation monodromy representations and their branched coverings.
+"""Quasi-permutation pattern of the continued monodromy matrices.
 
 A quasi-permutation matrix has exactly one nonzero entry in every row and
-every column.  A collection of such matrices, one per marked point, with
-ordered product equal to the identity, is the monodromy data of a branched
-covering of the sphere: substituting 1 for every nonzero entry gives honest
-permutation matrices, and the permutations describe how the sheets of the
-covering are glued.
-
-This module holds the combinatorial side of that correspondence: validation,
-extraction of the permutation representation, sheet multiplicities, the
-genus count of the covering, diagonal gauge transformations, and JSON I/O.
+every column.  Every monodromy of the 2x2 solution must have this pattern;
+this module checks it and reads off the sheet map and the nonzero entries.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    GenusNotInteger,
-    NotQuasiPermutation,
-    RelationViolated,
-    SingularD,
-)
+from .errors import NotQuasiPermutation
 
 TOL_ZERO = 1e-12  # relative threshold separating zero from nonzero entries
 
@@ -70,259 +54,3 @@ def validate_quasi_perm(matrix, tol_zero=TOL_ZERO):
     sigma = tuple(int(np.nonzero(mask[j])[0][0]) for j in range(n))
     values = m[np.arange(n), list(sigma)]
     return sigma, values
-
-
-def permutation_matrix(sigma):
-    """Permutation matrix with ones at ``[j, sigma[j]]``."""
-    n = len(sigma)
-    p = np.zeros((n, n))
-    p[np.arange(n), list(sigma)] = 1.0
-    return p
-
-
-def compose(sigma, tau):
-    """Sheet map of applying ``sigma`` first, then ``tau``."""
-    return tuple(tau[s] for s in sigma)
-
-
-def cycles(sigma):
-    """Cycle decomposition of a sheet map, cycles sorted by smallest element."""
-    n = len(sigma)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        j = sigma[start]
-        while j != start:
-            cyc.append(j)
-            seen[j] = True
-            j = sigma[j]
-        out.append(tuple(cyc))
-    return out
-
-
-def is_transitive(sigmas, n):
-    """Whether the group generated by the sheet maps acts transitively."""
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        j = frontier.pop()
-        for sigma in sigmas:
-            for k in (sigma[j], sigma.index(j)):
-                if k not in reached:
-                    reached.add(k)
-                    frontier.append(k)
-    return len(reached) == n
-
-
-@dataclass(frozen=True)
-class QuasiPermMatrix:
-    """A quasi-permutation matrix in factored form."""
-
-    sigma: tuple
-    values: tuple
-
-    @classmethod
-    def from_matrix(cls, matrix, tol_zero=TOL_ZERO):
-        sigma, values = validate_quasi_perm(matrix, tol_zero)
-        return cls(sigma, tuple(values))
-
-    @property
-    def n(self):
-        return len(self.sigma)
-
-    def matrix(self):
-        m = np.zeros((self.n, self.n), dtype=complex)
-        m[np.arange(self.n), list(self.sigma)] = self.values
-        return m
-
-
-@dataclass
-class QuasiPermRep:
-    """Monodromy representation by quasi-permutation matrices.
-
-    ``matrices[m]`` is attached to the marked point ``points[m]``; the
-    ordered product ``matrices[-1] @ ... @ matrices[0]`` must be the
-    identity, matching loops composed in the order they are listed.
-    """
-
-    lambda0: complex
-    points: list
-    matrices: list = field(default_factory=list)
-    tol_zero: float = TOL_ZERO
-
-    def __post_init__(self):
-        self.points = [complex(p) for p in self.points]
-        self.matrices = [np.asarray(m, dtype=complex) for m in self.matrices]
-        if len(self.points) != len(self.matrices):
-            raise ConfigError("points and matrices must have equal length")
-        ns = {m.shape[0] for m in self.matrices}
-        if len(ns) != 1:
-            raise ConfigError("all matrices must share one size")
-        for m in self.matrices:
-            validate_quasi_perm(m, self.tol_zero)
-        prod = np.eye(self.n)
-        for m in self.matrices:
-            prod = m @ prod
-        scale = max(np.max(np.abs(m)) for m in self.matrices)
-        if np.max(np.abs(prod - np.eye(self.n))) > 1e-9 * max(scale, 1.0):
-            raise RelationViolated(
-                "ordered product of the matrices is not the identity"
-            )
-
-    @property
-    def n(self):
-        return self.matrices[0].shape[0]
-
-    @property
-    def n_points(self):
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class PermutationRep:
-    """Permutation shadow of a quasi-permutation representation."""
-
-    sigmas: tuple          # one sheet map per marked point
-    multiplicities: tuple  # multiplicities[m][j] = cycle length of sheet j
-    genus: int
-    connected: bool
-
-
-def to_permutation_rep(rep):
-    """Forget the entry values of a representation, keep the sheet gluing.
-
-    The genus comes from the branching count of the covering: an n-sheet
-    covering of the sphere with total branching ``b`` (sum of cycle length
-    minus one over all cycles of all sheet maps) has Euler characteristic
-    ``2 n - b``.  The count is an integer for every representation whose
-    product relation holds; half-integer branching raises GenusNotInteger.
-    For a disconnected covering the number is reported as computed and can
-    be negative; ``connected`` tells the two cases apart.
-    """
-    sigmas = []
-    mults = []
-    branching = 0
-    for m in rep.matrices:
-        sigma, _ = validate_quasi_perm(m, rep.tol_zero)
-        sigmas.append(sigma)
-        mult = [0] * rep.n
-        for cyc in cycles(sigma):
-            branching += len(cyc) - 1
-            for j in cyc:
-                mult[j] = len(cyc)
-        mults.append(tuple(mult))
-    two_g = branching - 2 * rep.n + 2
-    if two_g % 2:
-        raise GenusNotInteger(f"branching count {branching} gives 2g = {two_g}")
-    return PermutationRep(
-        sigmas=tuple(sigmas),
-        multiplicities=tuple(mults),
-        genus=two_g // 2,
-        connected=is_transitive(sigmas, rep.n),
-    )
-
-
-def conjugate_by_diagonal(rep, d):
-    """Gauge transform every matrix to ``D M D^{-1}`` with ``D = diag(d)``."""
-    d = np.asarray(d, dtype=complex)
-    if d.ndim != 1 or d.shape[0] != rep.n:
-        raise SingularD(f"diagonal must have length {rep.n}")
-    if np.any(np.abs(d) == 0.0):
-        raise SingularD("diagonal conjugation requires nonzero entries")
-    dm = np.diag(d)
-    dinv = np.diag(1.0 / d)
-    return QuasiPermRep(
-        lambda0=rep.lambda0,
-        points=list(rep.points),
-        matrices=[dm @ m @ dinv for m in rep.matrices],
-        tol_zero=rep.tol_zero,
-    )
-
-
-def parameter_count(n, m):
-    """Dimension of the family of reps modulo diagonal conjugation."""
-    return m * n - 2 * n + 1
-
-
-def pairwise_exponent_products(r):
-    """Products ``sum_j r[m, j] * r[n, j]`` of diagonal exponent vectors.
-
-    Bookkeeping for the general family where every sheet over every marked
-    point carries its own exponent; the numerical solver in this package
-    handles the zero-exponent case only, so these products enter reports
-    and documentation rather than kernel evaluation.  Rows must sum to an
-    integer (each column of exponents is defined up to integers; the solver
-    requires the per-point sums to vanish for the implemented family).
-    """
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2:
-        raise ConfigError("exponent table must be two dimensional")
-    return r @ r.T
-
-
-# JSON I/O -------------------------------------------------------------------
-
-def _pair_to_complex(pair):
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ConfigError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def _complex_to_pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def rep_from_dict(data):
-    """Build a representation from the documented JSON layout.
-
-    The layout is ``{"n": int, "lambda0": [re, im], "points": [[re, im],
-    ...], "matrices": [[[[re, im], ...], ...], ...]}`` with matrices stored
-    row-major.
-    """
-    try:
-        n = int(data["n"])
-        lambda0 = _pair_to_complex(data["lambda0"])
-        points = [_pair_to_complex(p) for p in data["points"]]
-        matrices = []
-        for mat in data["matrices"]:
-            rows = [[_pair_to_complex(e) for e in row] for row in mat]
-            matrices.append(np.array(rows, dtype=complex))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"malformed representation data: {exc}") from exc
-    if any(m.shape != (n, n) for m in matrices):
-        raise ConfigError("matrix shapes disagree with declared sheet count")
-    return QuasiPermRep(lambda0=lambda0, points=points, matrices=matrices)
-
-
-def rep_to_dict(rep):
-    return {
-        "n": rep.n,
-        "lambda0": _complex_to_pair(rep.lambda0),
-        "points": [_complex_to_pair(p) for p in rep.points],
-        "matrices": [
-            [[_complex_to_pair(e) for e in row] for row in np.asarray(m)]
-            for m in rep.matrices
-        ],
-    }
-
-
-def load_rep(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read representation file {path}: {exc}") from exc
-    return rep_from_dict(data)
-
-
-def save_rep(rep, path):
-    with open(path, "w") as fh:
-        json.dump(rep_to_dict(rep), fh, indent=2)
-        fh.write("\n")

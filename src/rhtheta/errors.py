@@ -15,18 +15,6 @@ class NotQuasiPermutation(RHThetaError):
     """A matrix does not have exactly one nonzero entry per row and column."""
 
 
-class RelationViolated(RHThetaError):
-    """The ordered product of the monodromy matrices is not the identity."""
-
-
-class SingularD(RHThetaError):
-    """A diagonal conjugation matrix has a zero diagonal entry."""
-
-
-class GenusNotInteger(RHThetaError):
-    """The branching count of a covering leads to a non-integer genus."""
-
-
 # hyperelliptic -------------------------------------------------------------
 
 class DegenerateCurve(RHThetaError):
@@ -35,10 +23,6 @@ class DegenerateCurve(RHThetaError):
 
 class CrossingCuts(RHThetaError):
     """The selected cut pairing produces intersecting branch cuts."""
-
-
-class PathTooCloseToBranchPoint(RHThetaError):
-    """An integration path passes inside the guard radius of a branch point."""
 
 
 class QuadratureFailure(RHThetaError):
@@ -69,6 +53,10 @@ class NoOddNonsingularChar(RHThetaError):
 
 # kernels / solver ----------------------------------------------------------
 
+class RelationViolated(RHThetaError):
+    """A theta relation the kernel construction relies on does not hold."""
+
+
 class ThetaVanishes(RHThetaError):
     """A theta value required to be nonzero lies below the tolerance."""
 
@@ -87,10 +75,6 @@ class LoopConstructionFailed(RHThetaError):
 
 class LatticeExtractionFailed(RHThetaError):
     """A continued Abel value does not sit on the period lattice."""
-
-
-class UnsupportedMonodromyData(RHThetaError):
-    """Monodromy parameters outside the implemented (diagonal-free) family."""
 
 
 class SingularPoint(RHThetaError):

@@ -204,19 +204,3 @@ def ellipse_loop(center, axis_unit, semi_major, semi_minor, n_sides=24):
     th = 2.0 * np.pi * np.arange(n_sides) / n_sides
     return list(center + axis_unit * (semi_major * np.cos(th)
                                       + 1j * semi_minor * np.sin(th)))
-
-
-def stadium_loop(center, radius, n_arc=16):
-    """Counterclockwise circular polyline around ``center`` (degenerate
-    stadium); used for monodromy generators."""
-    th = 2.0 * np.pi * np.arange(n_arc) / n_arc
-    return list(center + radius * np.exp(1j * th))
-
-
-def polyline_min_distance(vertices, p, closed=False):
-    verts = [complex(v) for v in vertices]
-    if closed:
-        segs = zip(verts, verts[1:] + verts[:1])
-    else:
-        segs = zip(verts, verts[1:])
-    return min(point_segment_distance(p, a, b) for a, b in segs)

@@ -217,8 +217,8 @@ class PeriodData:
         for _ in range(8):
             z = p + r * u
             ok = True
-            for k, cut in enumerate(self.curve.cuts):
-                if cut[0] is not None and point_segment_distance(z, *cut) < 0.5 * r:
+            for cut in self.curve.cuts:
+                if point_segment_distance(z, *cut) < 0.5 * r:
                     if p not in cut:
                         ok = False
                         break
@@ -289,7 +289,7 @@ class PeriodData:
         end_sign = pieces[-1][2] if not events else start_sign * (-1) ** len(events)
         return dU, end_sign
 
-    def lattice_decompose(self, z, ints=False):
+    def lattice_decompose(self, z):
         """Write z = n + B m + residual with integer vectors n, m."""
         z = np.asarray(z, dtype=complex)
         m = np.rint(np.linalg.solve(self.B.imag, z.imag)).astype(int)
@@ -454,7 +454,8 @@ def compute_periods(curve, tol=1e-12):
 
 # JSON I/O -------------------------------------------------------------------
 
-def _pair(value):
+def pair_to_complex(value):
+    """Complex number from an ``[re, im]`` pair or a bare real."""
     if isinstance(value, (int, float)):
         return complex(value)
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -480,9 +481,9 @@ def curve_from_dict(data):
     package start on the first sheet.
     """
     try:
-        pts = [_pair(p) for p in data["branch_points"]]
+        pts = [pair_to_complex(p) for p in data["branch_points"]]
         base = data.get("basepoint")
-        lam0 = _pair(base["lambda"]) if base is not None else None
+        lam0 = pair_to_complex(base["lambda"]) if base is not None else None
         sheet = int(base.get("sheet", 1)) if base is not None else 1
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"malformed curve data: {exc}") from exc

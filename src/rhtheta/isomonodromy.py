@@ -25,12 +25,9 @@ from .errors import DegenerateCurve, StepTooLarge
 from .hyperelliptic import compute_periods
 from .kernels import KernelContext, even_subset_characteristics
 from .quadrature import integrate_circle
-from .rh_solver import RHSolution
+from .rh_solver import _CIRCLE_PHASE, RHSolution
 from .theta import ThetaChar, theta, theta_derivs
 
-# keeps circle nodes off the cut lines through the center, same role as
-# in the residue quadrature of the solver
-_CIRCLE_PHASE = 0.37
 _FD_FACTOR = 1e-5
 
 # residuals of finite-difference checks are dominated by the difference

@@ -337,44 +337,3 @@ class KernelContext:
             prodp *= lam_m - pn
         P = (lam_m ** np.arange(curve.genus)) @ pd.C
         return 3.0 * cross - 24.0 * (P @ dd @ P) / prodp
-
-    def projective_connection_sampled(self, m, subset=None):
-        """Same value, extrapolated from samples near the branch point.
-
-        Both divergent terms are evaluated at three small radii of the
-        local coordinate and combined by Richardson steps in x^2; kept as
-        an independent crosscheck of the closed-form limit.
-        """
-        pd = self.periods
-        curve = pd.curve
-        if subset is None:
-            subset = even_subset_characteristics(pd)[0]
-        T, ch = subset
-        ev = theta_derivs(np.zeros(curve.genus), pd.B, ch)
-        dd = ev.hess / ev.value
-        p = curve.points[m]
-        # step direction: outward along the cut axis, where the paired
-        # root is branch stable
-        for i, j in curve.cut_index_pairs:
-            if m in (i, j):
-                other = curve.points[j if m == i else i]
-                break
-        direction = (p - other) / abs(p - other)
-        xdir = np.sqrt(direction)
-        scale = np.sqrt(curve.scale)
-
-        def sample(absx):
-            x = absx * scale * xdir
-            lam = p + x * x
-            dlog = 0.0
-            for n, pn in enumerate(curve.points):
-                term = 2.0 * x / (lam - pn)
-                dlog += term if n in T else -term
-            v = pd.differentials(lam)[:, 0] * (2.0 * x)
-            return (-1.5 / x ** 2 + 0.375 * dlog ** 2
-                    - 6.0 * (v @ dd @ v) / 1.0)
-
-        r = [sample(a) for a in (1e-2, 5e-3, 2.5e-3)]
-        r1a = (4 * r[1] - r[0]) / 3
-        r1b = (4 * r[2] - r[1]) / 3
-        return (16 * r1b - r1a) / 15

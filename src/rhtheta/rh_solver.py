@@ -44,7 +44,8 @@ _SPUR_WIDENINGS = (1.0, 1.25, 0.8, 0.65)
 # fan-correct side of every other point; nonzero fallbacks only move a
 # chord that grazes a cut, and the splice side stays order-controlled.
 _ENTRY_SKEWS = (0.0, 0.35, -0.35, 0.7)
-# Phase offset of residue-circle nodes, so no node starts on a cut line.
+# Phase offset of residue-circle nodes, so no node starts on a cut line;
+# the circle integrals of the deformation checks use it too.
 _CIRCLE_PHASE = 0.37
 
 
@@ -383,11 +384,6 @@ class RHSolution:
 
     # -- closed-form monodromy --------------------------------------------
 
-    def intersection_data(self, n):
-        """Layout data of loop n: per starting sheet, the lattice indexes
-        of the continued Abel value and the spinor parity."""
-        return self.monodromy(n).columns
-
     def predict_monodromy(self, n, data=None):
         """Monodromy of loop n from its layout data alone.
 
@@ -396,7 +392,7 @@ class RHSolution:
         paired with the shifted characteristics.
         """
         if data is None:
-            data = self.intersection_data(n)
+            data = self.monodromy(n).columns
         p, q = self.kc.char.arrays()
         ps, qs = self.kc.odd_char.arrays()
         M = np.zeros((2, 2), dtype=complex)

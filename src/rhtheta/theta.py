@@ -80,7 +80,6 @@ def _check_riemann_matrix(B):
 
 def _lattice(z, B, p, q, lam_min, tol):
     """Integer summation box certified against the Gaussian tail."""
-    g = len(z)
     Y = B.imag
     radius = np.sqrt((-np.log(tol) + 8.0) / (np.pi * lam_min))
     if radius > MAX_RADIUS:
@@ -95,10 +94,12 @@ def _lattice(z, B, p, q, lam_min, tol):
     return n, radius
 
 
-def theta_derivs(z, B, char=None, tol=1e-14):
-    """Value, gradient, and Hessian of theta[p,q] at z.
+def _shifted_terms(z, B, char, tol):
+    """Summands of theta[p,q](z|B) over the certified lattice box.
 
-    Derivatives are exact term-by-term sums, never finite differences.
+    Returns (m, terms, scale, radius): the shifted lattice points
+    m = n + p as columns, the summands divided by ``scale``, which keeps
+    the largest of them at modulus one, and the summation radius.
     """
     z = np.asarray(z, dtype=complex).ravel()
     B, lam_min = _check_riemann_matrix(B)
@@ -111,8 +112,15 @@ def theta_derivs(z, B, char=None, tol=1e-14):
     expo = (1j * np.pi * np.einsum("ak,ab,bk->k", m, B, m)
             + 2j * np.pi * m.T @ (z + q))
     shift = expo.real.max()
-    terms = np.exp(expo - shift)
-    scale = np.exp(shift)
+    return m, np.exp(expo - shift), np.exp(shift), radius
+
+
+def theta_derivs(z, B, char=None, tol=1e-14):
+    """Value, gradient, and Hessian of theta[p,q] at z.
+
+    Derivatives are exact term-by-term sums, never finite differences.
+    """
+    m, terms, scale, radius = _shifted_terms(z, B, char, tol)
     value = scale * terms.sum()
     u = 2j * np.pi * m
     grad = scale * (u @ terms)
@@ -122,18 +130,8 @@ def theta_derivs(z, B, char=None, tol=1e-14):
 
 def theta(z, B, char=None, tol=1e-14):
     """Value of theta[p,q](z|B)."""
-    z = np.asarray(z, dtype=complex).ravel()
-    B, lam_min = _check_riemann_matrix(B)
-    g = len(z)
-    if char is None:
-        char = ThetaChar.zero(g)
-    p, q = char.arrays()
-    n, _ = _lattice(z, B, p, q, lam_min, tol)
-    m = n + p[:, None]
-    expo = (1j * np.pi * np.einsum("ak,ab,bk->k", m, B, m)
-            + 2j * np.pi * m.T @ (z + q))
-    shift = expo.real.max()
-    return np.exp(shift) * np.exp(expo - shift).sum()
+    _, terms, scale, _ = _shifted_terms(z, B, char, tol)
+    return scale * terms.sum()
 
 
 def half_characteristics(g):

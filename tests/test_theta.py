@@ -116,6 +116,19 @@ def test_gradient_and_hessian_fd():
                 assert abs(fd2 - ev.hess[a, b]) < 1e-5 * max(1.0, abs(ev.hess[a, b]))
 
 
+def test_theta_matches_theta_derivs_value_exactly():
+    rng = np.random.default_rng(12)
+    for g in (1, 2, 3, 4):
+        B = random_riemann_matrix(rng, g)
+        chars = (ThetaChar.zero(g),
+                 ThetaChar.from_arrays(rng.uniform(-0.4, 0.4, g),
+                                       rng.uniform(-0.4, 0.4, g)))
+        for ch in chars:
+            for _ in range(3):
+                z = rng.normal(0, 0.6, g) + 1j * rng.normal(0, 0.4, g)
+                assert theta(z, B, ch) == theta_derivs(z, B, ch).value
+
+
 def test_heat_equation():
     # d theta / d B_ab = (2 - delta_ab) hess_ab / (4 pi i) when the two
     # symmetric entries move together; verified with one Richardson step
