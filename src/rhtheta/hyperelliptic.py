@@ -276,6 +276,45 @@ class PeriodData:
         U = base + dU
         return U if sheet == 1 else -U
 
+    def abel_near_branch(self, m, zs, z_ref, U_ref):
+        """Sheet-1 Abel values (g, N), up to lattice vectors, at zs near branch
+        point m from one value U_ref at z_ref, by straight hops as in ``_hop``,
+        all in one rule.  Past a foreign cut a hop goes on on sheet 2, where
+        U(z, 1) = -U(z, 2).  The own cut's root uses t^2 (z - lambda_m)."""
+        p = self.curve.points[m]
+        d = np.append(zs, z_ref) - p
+        cross = []      # line parameter of each hop's foreign-cut crossing
+        for k, ((a, b), pair) in enumerate(zip(self.curve.cuts,
+                                               self.curve.cut_index_pairs)):
+            if m in pair:
+                # _pair_factor's u -/+ 1 are x + um, x + up
+                own, half = k, 0.5 * (b - a)
+                um, up = (0.0, 2.0) if m == pair[1] else (-2.0, 0.0)
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = cross2(b - a, p - a) / cross2(d, b - a)
+                s = cross2(d, p - a) / cross2(d, b - a)
+            cross.append(np.where((t >= 0) & (t <= 1) & (s >= 0) & (s <= 1),
+                                  t, np.inf))
+        cross = np.stack(cross)[:, :, None]
+
+        def sheet(t):
+            return (-1.0) ** np.sum(cross < t ** 2, axis=0)
+
+        def f(t):
+            off = t ** 2 * d[:, None]
+            lam, x = (p + off).ravel(), off.ravel() / half
+            w = (half * np.sqrt(x + um) * np.sqrt(x + up) * sheet(t).ravel()
+                 * self.curve.root_excluding(lam, own))
+            pw = np.vstack([lam ** be for be in range(self.curve.genus)])
+            return ((self.C.T @ (pw / w)).reshape(-1, *off.shape)
+                    * (2.0 * t * d[:, None]))
+
+        dU = integrate_segment(f, 0.0, 1.0, tol=1e-12)
+        sign = sheet(np.ones(1))[:, 0]
+        U_m = sign[-1] * U_ref - dU[:, -1]
+        return sign[:-1] * (U_m[:, None] + dU[:, :-1])
+
     def continue_abel(self, vertices, closed=False, start_sign=1.0):
         """Integral of v along a polyline with sheet tracking.
 

@@ -169,13 +169,19 @@ class HamiltonianSet:
 
 def bergmann_pair_residue(kernel, m, tol=1e-11):
     """Residue at branch point m of the kernel paired across the two
-    sheets over the same base point."""
+    sheets over the same base point.  The integrand ignores lattice shifts
+    of U, so the circle takes one routed Abel value and hops in batch."""
     pd = kernel.periods
     lam0 = pd.curve.points[m]
     rho = _circle_radius(pd.curve.points, m)
+    z_ref = lam0 + rho * np.exp(1j * _CIRCLE_PHASE)
+    U_ref = kernel.abel((z_ref, 1))
 
     def f(zs):
-        return np.array([kernel.bergmann((z, 1), (z, 2)) for z in zs])
+        # w((z, 1), (z, 2)) with v(z, 2) = -v(z, 1) and U(z, 2) = -U(z, 1)
+        v = pd.differentials(zs)
+        H = kernel.log_hess_odd(2.0 * pd.abel_near_branch(m, zs, z_ref, U_ref))
+        return np.einsum("an,abn,bn->n", v, H, v)
 
     return integrate_circle(f, lam0, rho, tol=tol,
                             phase=_CIRCLE_PHASE) / (2j * np.pi)
@@ -200,18 +206,15 @@ def hamiltonian_contour(sol, m, radius_factor=0.25, tol=1e-8):
     """The m-th Hamiltonian as half the residue of the squared trace of
     the logarithmic derivative, straight from the solution matrix."""
     lam0 = sol.curve.points[m]
-    dist = min(abs(lam0 - q) for i, q in enumerate(sol.curve.points)
-               if i != m)
+    rho = radius_factor * min(abs(lam0 - q) for i, q in
+                              enumerate(sol.curve.points) if i != m)
+    dlog = sol.circle_log_derivative(m, rho)
 
     def f(zs):
-        out = np.empty(len(zs), dtype=complex)
-        for i, z in enumerate(zs):
-            a = sol.ode_matrix(z)
-            out[i] = np.trace(a @ a)
-        return out
+        a = dlog(zs)
+        return np.einsum("ijn,jin->n", a, a)
 
-    total = integrate_circle(f, lam0, radius_factor * dist, tol=tol,
-                             phase=_CIRCLE_PHASE)
+    total = integrate_circle(f, lam0, rho, tol=tol, phase=_CIRCLE_PHASE)
     return 0.5 * total / (2j * np.pi)
 
 
@@ -301,10 +304,10 @@ def tau_closed_form(sol, char=None, reference=None):
                          pair_logs=pair_logs, points=points.copy())
 
 
-def _dlog_tau_fd(curve, char, m, s, theta_part=True):
+def _dlog_tau_fd(pd0, char, m, s, theta_part=True):
     """Log-ratio of the tau factors between the perturbed and the base
-    configuration; each factor moves little, so principal logs are safe."""
-    pd0 = compute_periods(curve)
+    periods pd0; each factor moves little, so principal logs are safe."""
+    curve = pd0.curve
     pds = compute_periods(curve.perturb(m, s))
     out = -0.5 * np.log(np.linalg.det(pds.A) / np.linalg.det(pd0.A))
     lam = curve.points
@@ -323,7 +326,8 @@ def tau_gradient_check(sol, m, h=None, richardson=True):
     pd = _periods(sol)
     kernel = _kernel(sol)
     h = _step(pd.curve, h)
-    fd = _central(lambda s: _dlog_tau_fd(pd.curve, kernel.char, m, s),
+    pd0 = compute_periods(pd.curve)
+    fd = _central(lambda s: _dlog_tau_fd(pd0, kernel.char, m, s),
                   h, richardson)
     return float(abs(fd - hamiltonian_closed(kernel, m)))
 
@@ -456,8 +460,9 @@ def f_factor_check(sol, m, h=None, richardson=True):
     kernel = _kernel(sol)
     pd = _periods(sol)
     h = _step(pd.curve, h)
+    pd0 = compute_periods(pd.curve)
     fd = _central(
-        lambda s: _dlog_tau_fd(pd.curve, kernel.char, m, s, theta_part=False),
+        lambda s: _dlog_tau_fd(pd0, kernel.char, m, s, theta_part=False),
         h, richardson)
     via_connection = kernel.projective_connection_at_branch_point(m) / 24.0
     via_residue = -bergmann_pair_residue(kernel, m)

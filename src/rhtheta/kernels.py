@@ -183,10 +183,11 @@ class KernelContext:
         return np.sqrt(self.h_squared(lam, sheet))
 
     def abel(self, point):
-        key = (complex(point[0]), int(point[1]))
-        if key not in self._U_cache:
-            self._U_cache[key] = self.periods.abel(key[0], sheet=key[1])
-        return self._U_cache[key]
+        """Abel value of (lambda, sheet); sheet 2 negates the sheet-1 value."""
+        z = complex(point[0])
+        if z not in self._U_cache:
+            self._U_cache[z] = self.periods.abel(z, sheet=1)
+        return self._U_cache[z] if int(point[1]) == 1 else -self._U_cache[z]
 
     # -- kernels ---------------------------------------------------------
 
@@ -207,8 +208,10 @@ class KernelContext:
         return num * self.h(*P) * self.h(*Q) / (self.theta0 * den)
 
     def log_hess_odd(self, zeta):
+        """Hessian of log theta[odd] at zeta, also at stacked points (g, N)."""
         ev = theta_derivs(zeta, self.periods.B, self.odd_char)
-        return ev.hess / ev.value - np.outer(ev.grad, ev.grad) / ev.value ** 2
+        return (ev.hess / ev.value
+                - ev.grad[:, None] * ev.grad[None, :] / ev.value ** 2)
 
     def log_hess_char_at_zero(self):
         g = self.periods.curve.genus

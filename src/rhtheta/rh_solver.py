@@ -15,6 +15,12 @@ basepointed loops; each continued column lands on the other sheet with a
 period-lattice shift and a spinor sign, and those data give the nonzero
 entries in closed form.  Residue matrices are contour integrals of the
 logarithmic derivative around the branch points.
+
+Psi_lambda Psi^-1 does not depend on the germ: another lattice shift of
+the Abel value or spinor sign multiplies Psi on the right by a constant
+matrix, which cancels.  So a residue circle routes one germ, at one node;
+sheet-tracked hops out of the branch point give every node its Abel value,
+the spinors take principal values, and the circle is assembled in batch.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import (InconsistentLayout, LatticeExtractionFailed,
                      SingularPoint)
 from .geometry import split_polyline
 from .kernels import KernelContext
-from .quadrature import integrate_pieces
+from .quadrature import integrate_circle, integrate_pieces
 from .theta import theta, theta_derivs
 
 # Radius of a monodromy loop as a fraction of the distance from its branch
@@ -220,6 +226,45 @@ class RHSolution:
         at the branch points, independent of germ conventions."""
         psi, dpsi = self.psi_pair(lam)
         return dpsi @ np.linalg.inv(psi)
+
+    def circle_log_derivative(self, n, rho):
+        """Logarithmic derivative, (2, 2, N), at N points on the circle of
+        radius rho around branch point n.  One germ, routed to the first node
+        by ``ode_matrix``, serves them all and checks each batch there."""
+        z_ref = self.curve.points[n] + rho * np.exp(1j * _CIRCLE_PHASE)
+        ref = self.ode_matrix(z_ref)
+        U_ref = self._germ_cache[complex(z_ref)][0]
+        B, kc = self.periods.B, self.kc
+        U_row = (self.U0[:, None], -self.U0[:, None])
+
+        def f(zs):
+            zs = np.append(zs, z_ref)
+            U1 = self.periods.abel_near_branch(n, zs, z_ref, U_ref)
+            v1 = self.periods.differentials(zs)
+            hs = (kc.h(zs, 1), kc.h(zs, 2))
+            hlog = 0.5 * kc.q_poly_deriv(zs) / kc.q_poly(zs) \
+                - 0.5 * self.curve.log_derivative_sum(zs)
+            dz = zs - self.lambda0
+            psi = np.empty((len(zs), 2, 2), dtype=complex)
+            dpsi = np.empty_like(psi)
+            for k in range(2):
+                for j, sgn in enumerate((1.0, -1.0)):
+                    zeta = sgn * U1 - U_row[k]
+                    ec = theta_derivs(zeta, B, kc.char)
+                    es = theta_derivs(zeta, B, kc.odd_char)
+                    c = hs[j] * self.h0[k] / (kc.theta0 * es.value)
+                    psi[:, k, j] = dz * ec.value * c
+                    rest = hlog - sgn * (v1 * es.grad).sum(axis=0) / es.value
+                    dpsi[:, k, j] = c * (ec.value * (1.0 + dz * rest) + dz
+                                         * sgn * (v1 * ec.grad).sum(axis=0))
+            out = np.moveaxis(dpsi @ np.linalg.inv(psi), 0, -1)
+            err = np.max(np.abs(out[:, :, -1] - ref))
+            if not err <= 1e-10 * max(1.0, np.max(np.abs(ref))):
+                raise LatticeExtractionFailed(
+                    f"circle at branch point {n} misses its germ by {err:.2e}")
+            return out[:, :, :-1]
+
+        return f
 
     # -- monodromy loops --------------------------------------------------
 
@@ -420,7 +465,8 @@ class RHSolution:
 
     def residue(self, n, radius_factor=0.25, tol=1e-8):
         """Residue matrix of the logarithmic derivative at branch point n,
-        by trapezoid sums on a circle, doubled until stable."""
+        by trapezoid sums on a circle, doubled until stable; germ-free, as
+        another germ multiplies Psi on the right by a constant matrix."""
         key = (n, float(radius_factor))
         if key in self._residue_cache:
             return self._residue_cache[key]
@@ -428,25 +474,15 @@ class RHSolution:
         dist = min(abs(p - q) for i, q in enumerate(self.curve.points)
                    if i != n)
         rho = radius_factor * dist
-        nodes = 64
-        prev = None
-        while nodes <= 4096:
-            th = _CIRCLE_PHASE + 2.0 * np.pi * np.arange(nodes) / nodes
-            zs = p + rho * np.exp(1j * th)
-            dz = 1j * rho * np.exp(1j * th) * (2.0 * np.pi / nodes)
-            total = np.zeros((2, 2), dtype=complex)
-            for z, w in zip(zs, dz):
-                total += self.ode_matrix(z) * w
-            cur = total / (2j * np.pi)
-            if prev is not None:
-                err = np.max(np.abs(cur - prev))
-                if err <= tol * max(1.0, np.max(np.abs(cur))):
-                    self._residue_cache[key] = cur
-                    return cur
-            prev = cur
-            nodes *= 2
-        raise QuadratureFailure(
-            f"residue circle at branch point {n} did not stabilize")
+        f = self.circle_log_derivative(n, rho)
+        try:
+            cur = integrate_circle(lambda zs: f(zs) / (2j * np.pi), p, rho,
+                                   tol=tol, max_n=4096, phase=_CIRCLE_PHASE)
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(
+                f"residue circle at branch point {n}: {exc}") from exc
+        self._residue_cache[key] = cur
+        return cur
 
     def residues(self, radius_factor=0.25, tol=1e-8):
         mats = np.array([self.residue(n, radius_factor, tol)

@@ -21,6 +21,8 @@ from .errors import NotRiemannMatrix, TruncationOverflow
 # Hard cap on the per-axis summation radius; reached only for nearly
 # degenerate period matrices where the series is numerically hopeless.
 MAX_RADIUS = 40.0
+# Most summands, lattice points times stacked points, held at once.
+_MAX_TERMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,20 @@ def _check_riemann_matrix(B):
     return B, lam_min
 
 
-def _lattice(z, B, p, q, lam_min, tol):
-    """Integer summation box certified against the Gaussian tail."""
+def _lattice(zq, B, p, lam_min, tol):
+    """Integer summation box certified against the Gaussian tail; stacked
+    points share one box holding each point's own box."""
     Y = B.imag
     radius = np.sqrt((-np.log(tol) + 8.0) / (np.pi * lam_min))
     if radius > MAX_RADIUS:
         raise TruncationOverflow(
             f"summation radius {radius:.1f} exceeds cap {MAX_RADIUS}; "
             "period matrix too close to degenerate")
-    center = -np.linalg.solve(Y, np.imag(z) + np.imag(q)) - p
-    axes = [np.arange(int(np.floor(c - radius)), int(np.ceil(c + radius)) + 1)
-            for c in center]
+    center = -np.linalg.solve(Y, np.imag(zq)).T - p     # a row per point
+    lo, hi = ((center.min(axis=0), center.max(axis=0)) if center.ndim > 1
+              else (center, center))
+    axes = [np.arange(int(np.floor(a - radius)), int(np.ceil(b + radius)) + 1)
+            for a, b in zip(lo, hi)]
     grids = np.meshgrid(*axes, indexing="ij")
     n = np.vstack([gr.ravel() for gr in grids])
     return n, radius
@@ -97,41 +102,53 @@ def _lattice(z, B, p, q, lam_min, tol):
 def _shifted_terms(z, B, char, tol):
     """Summands of theta[p,q](z|B) over the certified lattice box.
 
-    Returns (m, terms, scale, radius): the shifted lattice points
+    Yields (m, terms, scale, radius): the shifted lattice points
     m = n + p as columns, the summands divided by ``scale``, which keeps
-    the largest of them at modulus one, and the summation radius.
+    the largest of them at modulus one, and the summation radius.  For
+    stacked points z of shape (g, N), terms and scale gain a last axis
+    over the points, and the stack is halved into consecutive slices, one
+    yield each, until no box holds more than ``_MAX_TERMS`` summands.
     """
-    z = np.asarray(z, dtype=complex).ravel()
+    z = np.asarray(z, dtype=complex)
+    z = z if z.ndim == 2 else z.ravel()
     B, lam_min = _check_riemann_matrix(B)
-    g = len(z)
-    if char is None:
-        char = ThetaChar.zero(g)
-    p, q = char.arrays()
-    n, radius = _lattice(z, B, p, q, lam_min, tol)
-    m = n + p[:, None]
-    expo = (1j * np.pi * np.einsum("ak,ab,bk->k", m, B, m)
-            + 2j * np.pi * m.T @ (z + q))
-    shift = expo.real.max()
-    return m, np.exp(expo - shift), np.exp(shift), radius
+    p, q = (char or ThetaChar.zero(z.shape[0])).arrays()
+    todo = [(z.T + q).T]
+    while todo:
+        zq = todo.pop(0)
+        n, radius = _lattice(zq, B, p, lam_min, tol)
+        if 1 < zq[0].size and _MAX_TERMS < n.shape[1] * zq[0].size:
+            todo[:0] = np.array_split(zq, 2, axis=1)
+            continue
+        m = n + p[:, None]
+        expo = (1j * np.pi * np.einsum("ak,ab,bk->k", m, B, m)
+                + (2j * np.pi * m.T @ zq).T).T
+        shift = expo.real.max(axis=0)
+        yield m, np.exp(expo - shift), np.exp(shift), radius
 
 
 def theta_derivs(z, B, char=None, tol=1e-14):
     """Value, gradient, and Hessian of theta[p,q] at z.
 
     Derivatives are exact term-by-term sums, never finite differences.
+    Stacked points z, shape (g, N), share one check of B; value, grad and
+    hess gain a last axis: (N,), (g, N), (g, g, N).
     """
-    m, terms, scale, radius = _shifted_terms(z, B, char, tol)
-    value = scale * terms.sum()
-    u = 2j * np.pi * m
-    grad = scale * (u @ terms)
-    hess = scale * np.einsum("ak,bk,k->ab", u, u, terms)
+    parts = []
+    for m, terms, scale, radius in _shifted_terms(z, B, char, tol):
+        u = 2j * np.pi * m
+        parts.append((scale * terms.sum(axis=0), scale * (u @ terms),
+                      scale * np.einsum("ak,bk,k...->ab...", u, u, terms)))
+    value, grad, hess = (x[0] if len(x) == 1 else np.concatenate(x, axis=-1)
+                         for x in zip(*parts))
     return ThetaEvaluation(value=value, grad=grad, hess=hess, radius=radius)
 
 
 def theta(z, B, char=None, tol=1e-14):
-    """Value of theta[p,q](z|B)."""
-    _, terms, scale, _ = _shifted_terms(z, B, char, tol)
-    return scale * terms.sum()
+    """Value of theta[p,q](z|B); one value per point for stacked z."""
+    vals = [scale * terms.sum(axis=0)
+            for _, terms, scale, _ in _shifted_terms(z, B, char, tol)]
+    return vals[0] if len(vals) == 1 else np.concatenate(vals)
 
 
 def half_characteristics(g):

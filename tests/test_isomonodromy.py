@@ -5,7 +5,8 @@ import rhtheta.isomonodromy as iso
 from rhtheta.errors import DegenerateCurve, StepTooLarge
 from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
 from rhtheta.kernels import KernelContext
-from rhtheta.rh_solver import RHSolution
+from rhtheta.quadrature import integrate_circle
+from rhtheta.rh_solver import _CIRCLE_PHASE, RHSolution
 from rhtheta.theta import ThetaChar
 
 
@@ -81,6 +82,26 @@ def test_hamiltonians_ignore_normalization_point(sol1):
         a = iso.hamiltonian_contour(sol1, m)
         b = iso.hamiltonian_contour(moved, m)
         assert abs(a - b) < 1e-6
+
+
+def test_batched_circles_match_per_node_path(sol1, sol2):
+    # references evaluate ode_matrix and the kernel one node at a time
+    def per_node(f, sol, m, tol):
+        p = sol.curve.points[m]
+        rho = 0.25 * min(abs(p - q) for i, q in enumerate(sol.curve.points)
+                         if i != m)
+        return integrate_circle(lambda zs: np.array([f(z) for z in zs]), p,
+                                rho, tol=tol, phase=_CIRCLE_PHASE) / (2j * np.pi)
+
+    for sol in (sol1, sol2):
+        for m in (0, len(sol.curve.points) - 1):
+            ham = 0.5 * per_node(
+                lambda z: np.trace(np.linalg.matrix_power(sol.ode_matrix(z), 2)),
+                sol, m, 1e-8)
+            assert abs(iso.hamiltonian_contour(sol, m) - ham) < 1e-10
+            pair = per_node(lambda z: sol.kc.bergmann((z, 1), (z, 2)),
+                            sol, m, 1e-11)
+            assert abs(iso.bergmann_pair_residue(sol.kc, m) - pair) < 1e-10
 
 
 def test_squared_trace_ignores_constant_right_factor(sol1):

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rhtheta.errors import InconsistentLayout, SingularPoint
+from rhtheta.errors import (InconsistentLayout, LatticeExtractionFailed,
+                            SingularPoint)
 from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
 from rhtheta.kernels import KernelContext
-from rhtheta.rh_solver import PsiEvaluation, RHSolution
+from rhtheta.quadrature import integrate_circle
+from rhtheta.rh_solver import _CIRCLE_PHASE, PsiEvaluation, RHSolution
 from rhtheta.theta import ThetaChar
 
 
@@ -262,6 +264,77 @@ def test_residue_radius_independence(sol1):
     a = sol1.residue(1, radius_factor=0.25)
     b = sol1.residue(1, radius_factor=0.125)
     assert np.max(np.abs(a - b)) < 1e-8
+
+
+def _per_node_residue(sol, n, radius_factor):
+    # reference: every node routes its own germ through ode_matrix
+    p = sol.curve.points[n]
+    rho = radius_factor * min(abs(p - q) for i, q in
+                              enumerate(sol.curve.points) if i != n)
+    return integrate_circle(
+        lambda zs: np.stack([sol.ode_matrix(z) for z in zs], axis=-1)
+        / (2j * np.pi), p, rho, tol=1e-8, max_n=4096, phase=_CIRCLE_PHASE)
+
+
+def test_batched_residues_match_per_node_path(sol1, sol2):
+    for sol in (sol1, sol2):
+        for rf in (0.25, 0.125):
+            for n in range(len(sol.curve.points)):
+                ref = _per_node_residue(sol, n, rf)
+                got = sol.residue(n, radius_factor=rf)
+                assert np.max(np.abs(got - ref)) < 1e-10
+
+
+def test_residues_across_a_foreign_cut():
+    # the circle around the branch point at 0 has radius 0.25, and 48 of
+    # its 128 radial hops cross the cut [0.1 - i, 0.1 + i]; past the
+    # crossing they must go on on the other sheet
+    pd = compute_periods(HyperellipticCurve([-2.0, 0.0, 0.1 - 1j, 0.1 + 1j]))
+    sol = RHSolution(pd, ThetaChar((0.13,), (-0.21,)), -1.0 + 1.5j)
+    rs = sol.residues()
+    for n in range(4):
+        ref = _per_node_residue(sol, n, 0.25)
+        assert np.max(np.abs(rs.matrices[n] - ref)) < 1e-10
+        eig = rs.exponents[n]
+        assert np.max(np.abs(eig - np.array([-0.25, 0.25]))) < 1e-10
+
+
+def test_residues_of_a_translated_curve(sol1):
+    # the hops start at branch points near 10-13, where a root computed
+    # from lambda rather than from lambda - lambda_m loses digits next to
+    # the branch point, and the hop quadrature then never settles
+    pts = sol1.curve.points + 10.0
+    pd = compute_periods(HyperellipticCurve(pts))
+    sol = RHSolution(pd, None, sol1.lambda0 + 10.0,
+                     kernel=KernelContext(pd, sol1.kc.char))
+    rs = sol.residues()
+    assert rs.sum_norm < 1e-10
+    for eig in rs.exponents:
+        assert np.max(np.abs(eig - np.array([-0.25, 0.25]))) < 1e-10
+
+
+def test_residues_route_one_germ_per_branch_point(sol2, monkeypatch):
+    fresh = RHSolution(sol2.periods, None, sol2.lambda0, kernel=sol2.kc)
+    calls = []
+    germ = RHSolution._germ
+
+    def counted(self, z):
+        calls.append(z)
+        return germ(self, z)
+
+    monkeypatch.setattr(RHSolution, "_germ", counted)
+    fresh.residues()
+    assert 0 < len(calls) <= len(fresh.curve.points)
+
+
+def test_residue_circle_checks_its_routed_node(sol1, monkeypatch):
+    # a batch that disagrees with ode_matrix at the routed node is refused
+    fresh = RHSolution(sol1.periods, None, sol1.lambda0, kernel=sol1.kc)
+    ode = RHSolution.ode_matrix
+    monkeypatch.setattr(RHSolution, "ode_matrix",
+                        lambda self, z: ode(self, z) + 1e-6)
+    with pytest.raises(LatticeExtractionFailed, match="branch point 2"):
+        fresh.residue(2)
 
 
 def test_logarithmic_derivative_is_rational(sol1):

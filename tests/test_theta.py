@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rhtheta.theta as theta_module
 from rhtheta.errors import NotRiemannMatrix, TruncationOverflow
 from rhtheta.theta import (
     ThetaChar,
@@ -127,6 +128,31 @@ def test_theta_matches_theta_derivs_value_exactly():
             for _ in range(3):
                 z = rng.normal(0, 0.6, g) + 1j * rng.normal(0, 0.4, g)
                 assert theta(z, B, ch) == theta_derivs(z, B, ch).value
+
+
+@pytest.mark.parametrize("max_terms", [None, 1])
+def test_stacked_points_match_single_points(max_terms, monkeypatch):
+    # max_terms=1 forces one slice per point: the stacked call then holds
+    # no more summands at once than a single-point call
+    if max_terms is not None:
+        monkeypatch.setattr(theta_module, "_MAX_TERMS", max_terms)
+    rng = np.random.default_rng(14)
+    for g in (1, 2, 3):
+        B = random_riemann_matrix(rng, g)
+        ch = ThetaChar.from_arrays(rng.uniform(-0.4, 0.4, g),
+                                   rng.uniform(-0.4, 0.4, g))
+        zs = rng.normal(0, 0.6, (g, 5)) + 1j * rng.normal(0, 0.4, (g, 5))
+        ev = theta_derivs(zs, B, ch)
+        vals = theta(zs, B, ch)
+        assert ev.value.shape == vals.shape == (5,)
+        assert ev.grad.shape == (g, 5) and ev.hess.shape == (g, g, 5)
+        for k in range(5):
+            one = theta_derivs(zs[:, k], B, ch)
+            for got, want in ((ev.value[k], one.value), (vals[k], one.value),
+                              (ev.grad[..., k], one.grad),
+                              (ev.hess[..., k], one.hess)):
+                assert np.max(np.abs(got - want)) < 1e-13 * max(
+                    1.0, np.max(np.abs(want)))
 
 
 def test_heat_equation():
