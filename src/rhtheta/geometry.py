@@ -51,7 +51,7 @@ def point_segment_distance(p, a, b):
     len2 = abs(d) ** 2
     if len2 == 0.0:
         return abs(p - a)
-    t = np.clip((np.conj(d) * (p - a)).real / len2, 0.0, 1.0)
+    t = min(max((np.conj(d) * (p - a)).real / len2, 0.0), 1.0)
     return abs(p - a - t * d)
 
 

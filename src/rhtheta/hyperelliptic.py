@@ -188,20 +188,47 @@ class PeriodData:
 
     # -- Abel map -----------------------------------------------------
 
-    def _hop(self, m, z):
-        """Integral of v from branch point m straight to z.
+    def _hop(self, m, zs):
+        """Integrals of v (g, N) from branch point m straight to each of zs,
+        and the sheet sign (N,) each hop ends on, all in one rule.
 
         Substituting lambda = lambda_m + t^2 (z - lambda_m) removes the
-        inverse-square-root singularity at the branch point; the segment
-        must not cross any cut, which anchor placement guarantees.
+        inverse-square-root singularity at the branch point; the root of the
+        own cut is taken from the offset t^2 (z - lambda_m), so no digits
+        cancel next to the branch point.  Past a foreign cut a hop goes on
+        on sheet 2.
         """
         p = self.curve.points[m]
+        d = np.asarray(zs, dtype=complex) - p
+        cross = []      # line parameter of each hop's foreign-cut crossing
+        for k, ((a, b), pair) in enumerate(zip(self.curve.cuts,
+                                               self.curve.cut_index_pairs)):
+            if m in pair:
+                # _pair_factor's u -/+ 1 are x + um, x + up
+                own, half = k, 0.5 * (b - a)
+                um, up = (0.0, 2.0) if m == pair[1] else (-2.0, 0.0)
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = cross2(b - a, p - a) / cross2(d, b - a)
+                s = cross2(d, p - a) / cross2(d, b - a)
+            cross.append(np.where((t >= 0) & (t <= 1) & (s >= 0) & (s <= 1),
+                                  t, np.inf))
+        cross = np.stack(cross)[:, :, None]
+
+        def sheet(t):
+            return (-1.0) ** np.sum(cross < t ** 2, axis=0)
 
         def f(t):
-            lam = p + t ** 2 * (z - p)
-            return self.differentials(lam) * (2.0 * t * (z - p))
+            off = t ** 2 * d[:, None]
+            lam, x = (p + off).ravel(), off.ravel() / half
+            w = (half * np.sqrt(x + um) * np.sqrt(x + up) * sheet(t).ravel()
+                 * self.curve.root_excluding(lam, own))
+            pw = np.vstack([lam ** be for be in range(self.curve.genus)])
+            return ((self.C.T @ (pw / w)).reshape(-1, *off.shape)
+                    * (2.0 * t * d[:, None]))
 
-        return integrate_segment(f, 0.0, 1.0, tol=1e-12)
+        ends = sheet(np.ones(1))[:, 0]
+        return integrate_segment(f, 0.0, 1.0, tol=1e-12), ends
 
     def anchor_point(self, m):
         """Point just outside branch point m, collinear with its cut."""
@@ -228,7 +255,8 @@ class PeriodData:
             r *= 0.5
         else:
             raise LoopConstructionFailed(f"no clear anchor at branch point {m}")
-        self._anchor_cache[m] = (z, self._hop(m, z))
+        dU, _ = self._hop(m, [z])
+        self._anchor_cache[m] = (z, dU[:, 0])
         return z
 
     def sheet1_route(self, z0, z1):
@@ -278,40 +306,9 @@ class PeriodData:
 
     def abel_near_branch(self, m, zs, z_ref, U_ref):
         """Sheet-1 Abel values (g, N), up to lattice vectors, at zs near branch
-        point m from one value U_ref at z_ref, by straight hops as in ``_hop``,
-        all in one rule.  Past a foreign cut a hop goes on on sheet 2, where
-        U(z, 1) = -U(z, 2).  The own cut's root uses t^2 (z - lambda_m)."""
-        p = self.curve.points[m]
-        d = np.append(zs, z_ref) - p
-        cross = []      # line parameter of each hop's foreign-cut crossing
-        for k, ((a, b), pair) in enumerate(zip(self.curve.cuts,
-                                               self.curve.cut_index_pairs)):
-            if m in pair:
-                # _pair_factor's u -/+ 1 are x + um, x + up
-                own, half = k, 0.5 * (b - a)
-                um, up = (0.0, 2.0) if m == pair[1] else (-2.0, 0.0)
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = cross2(b - a, p - a) / cross2(d, b - a)
-                s = cross2(d, p - a) / cross2(d, b - a)
-            cross.append(np.where((t >= 0) & (t <= 1) & (s >= 0) & (s <= 1),
-                                  t, np.inf))
-        cross = np.stack(cross)[:, :, None]
-
-        def sheet(t):
-            return (-1.0) ** np.sum(cross < t ** 2, axis=0)
-
-        def f(t):
-            off = t ** 2 * d[:, None]
-            lam, x = (p + off).ravel(), off.ravel() / half
-            w = (half * np.sqrt(x + um) * np.sqrt(x + up) * sheet(t).ravel()
-                 * self.curve.root_excluding(lam, own))
-            pw = np.vstack([lam ** be for be in range(self.curve.genus)])
-            return ((self.C.T @ (pw / w)).reshape(-1, *off.shape)
-                    * (2.0 * t * d[:, None]))
-
-        dU = integrate_segment(f, 0.0, 1.0, tol=1e-12)
-        sign = sheet(np.ones(1))[:, 0]
+        point m from one value U_ref at z_ref, by the hops of ``_hop``, all in
+        one rule.  A hop ending on sheet 2 negates, as U(z, 1) = -U(z, 2)."""
+        dU, sign = self._hop(m, np.append(zs, z_ref))
         U_m = sign[-1] * U_ref - dU[:, -1]
         return sign[:-1] * (U_m[:, None] + dU[:, :-1])
 
@@ -468,7 +465,7 @@ def compute_periods(curve, tol=1e-12):
             Braw = np.zeros((g, g), dtype=complex)
             for i in range(g):
                 Braw[i] = integrate_pieces(
-                    lambda z, s, _pd=None: np.vstack(
+                    lambda z, s: np.vstack(
                         [z ** be for be in range(g)]) / (s * curve.w(z, 1)),
                     pieces_list[i], tol=tol)
             # subtract whole a periods so that b_i o b_j = 0 exactly

@@ -25,7 +25,7 @@ from .errors import DegenerateCurve, StepTooLarge
 from .hyperelliptic import compute_periods
 from .kernels import KernelContext, even_subset_characteristics
 from .quadrature import integrate_circle
-from .rh_solver import _CIRCLE_PHASE, RHSolution
+from .rh_solver import _CIRCLE_PHASE, RHSolution, _circle_abel
 from .theta import ThetaChar, theta, theta_derivs
 
 _FD_FACTOR = 1e-5
@@ -113,6 +113,8 @@ def differential_variation_check(sol, m, at, h=None, richardson=True):
 
     The formula pairs each differential with the symmetric kernel summed
     over both sheets and takes the residue at the moving branch point.
+    The sheets give the Hessian of log theta[odd] at U(z, 1) -/+ U(at), which
+    is even and ignores lattice shifts, so the circle is evaluated in batch.
     """
     kernel = _kernel(sol)
     pd = kernel.periods
@@ -121,16 +123,15 @@ def differential_variation_check(sol, m, at, h=None, richardson=True):
     fd = _central(
         lambda s: compute_periods(pd.curve.perturb(m, s)).differentials(z)[:, 0],
         h, richardson)
-    lam0 = pd.curve.points[m]
-    rho = _circle_radius(pd.curve.points, m)
+    lam0, rho = pd.curve.points[m], _circle_radius(pd.curve.points, m)
+    _, abel = _circle_abel(pd, m, rho, lambda w: kernel.abel((w, 1)))
+    Uz = kernel.abel((z, 1))[:, None]
+    vz = pd.differentials(z)[:, 0]
 
     def f(zs):
-        out = np.zeros((pd.curve.genus, len(zs)), dtype=complex)
-        for i, zc in enumerate(zs):
-            for j, sgn in ((1, 1.0), (2, -1.0)):
-                v = pd.differentials(zc, sgn)[:, 0]
-                out[:, i] += v * kernel.bergmann((zc, j), (z, 1))
-        return out
+        v, U = pd.differentials(zs), abel(zs)
+        H = kernel.log_hess_odd(U - Uz) + kernel.log_hess_odd(U + Uz)
+        return -v * np.einsum("an,abn,b->n", v, H, vz)
 
     ex = integrate_circle(f, lam0, rho, phase=_CIRCLE_PHASE) / (2j * np.pi)
     return float(np.max(np.abs(fd - ex)))
@@ -172,15 +173,13 @@ def bergmann_pair_residue(kernel, m, tol=1e-11):
     sheets over the same base point.  The integrand ignores lattice shifts
     of U, so the circle takes one routed Abel value and hops in batch."""
     pd = kernel.periods
-    lam0 = pd.curve.points[m]
-    rho = _circle_radius(pd.curve.points, m)
-    z_ref = lam0 + rho * np.exp(1j * _CIRCLE_PHASE)
-    U_ref = kernel.abel((z_ref, 1))
+    lam0, rho = pd.curve.points[m], _circle_radius(pd.curve.points, m)
+    _, abel = _circle_abel(pd, m, rho, lambda w: kernel.abel((w, 1)))
 
     def f(zs):
         # w((z, 1), (z, 2)) with v(z, 2) = -v(z, 1) and U(z, 2) = -U(z, 1)
         v = pd.differentials(zs)
-        H = kernel.log_hess_odd(2.0 * pd.abel_near_branch(m, zs, z_ref, U_ref))
+        H = kernel.log_hess_odd(2.0 * abel(zs))
         return np.einsum("an,abn,bn->n", v, H, v)
 
     return integrate_circle(f, lam0, rho, tol=tol,

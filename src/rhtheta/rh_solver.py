@@ -10,6 +10,10 @@ matrix is normalized to the identity at lambda_0, has determinant one
 everywhere, and its logarithmic derivative is a single-valued rational
 matrix function with simple poles at the branch points.
 
+h^2 on sheet 2 is exactly -h^2 on sheet 1, so h continued along the
+sign-flipped pieces of a path is a constant +-i, fixed at the normalization
+point, times the sheet-1 continuation; each path continues h once.
+
 Monodromy matrices come from continuing both columns around explicit
 basepointed loops; each continued column lands on the other sheet with a
 period-lattice shift and a spinor sign, and those data give the nonzero
@@ -20,7 +24,8 @@ Psi_lambda Psi^-1 does not depend on the germ: another lattice shift of
 the Abel value or spinor sign multiplies Psi on the right by a constant
 matrix, which cancels.  So a residue circle routes one germ, at one node;
 sheet-tracked hops out of the branch point give every node its Abel value,
-the spinors take principal values, and the circle is assembled in batch.
+the spinors take principal values, and the circle is assembled in batch
+by the same stacked assembler that serves single points.
 """
 
 from __future__ import annotations
@@ -33,10 +38,12 @@ from .covering import validate_quasi_perm
 from .errors import (InconsistentLayout, LatticeExtractionFailed,
                      LoopConstructionFailed, QuadratureFailure, RoutingFailure,
                      SingularPoint)
-from .geometry import split_polyline
+from .geometry import point_segment_distance, split_polyline
 from .kernels import KernelContext
 from .quadrature import integrate_circle, integrate_pieces
-from .theta import theta, theta_derivs
+# theta itself is not called here; the benchmark tracer patches every
+# `from .x import y` binding and asserts that this one exists
+from .theta import theta, theta_derivs  # noqa: F401
 
 # Radius of a monodromy loop as a fraction of the distance from its branch
 # point to the nearest other marked point; the first entry also sets the
@@ -53,6 +60,15 @@ _ENTRY_SKEWS = (0.0, 0.35, -0.35, 0.7)
 # Phase offset of residue-circle nodes, so no node starts on a cut line;
 # the circle integrals of the deformation checks use it too.
 _CIRCLE_PHASE = 0.37
+
+
+def _circle_abel(periods, m, rho, routed):
+    """Reference node of the circle of radius rho around branch point m, and
+    the sheet-1 Abel values (g, N), up to lattice vectors, of nodes zs on it,
+    hopped from the value ``routed`` gives at that node when a batch runs."""
+    z_ref = periods.curve.points[m] + rho * np.exp(1j * _CIRCLE_PHASE)
+    return z_ref, lambda zs: periods.abel_near_branch(m, zs, z_ref,
+                                                      routed(z_ref))
 
 
 @dataclass
@@ -120,12 +136,14 @@ class RHSolution:
             raise SingularPoint(
                 "normalization point coincides with a branch point")
         for cut in self.curve.cuts:
-            from .geometry import point_segment_distance
             if point_segment_distance(z0, *cut) < guard:
                 raise SingularPoint("normalization point sits on a cut")
         self.lambda0 = z0
         self.U0 = self.periods.abel(z0, sheet=1)
         self.h0 = (self.kc.h(z0, 1), self.kc.h(z0, 2))
+        # h on sheet 2 continues as this constant times h on sheet 1
+        self._flip = 1j if abs(self.h0[1] - 1j * self.h0[0]) \
+            < abs(self.h0[1] + 1j * self.h0[0]) else -1j
         self._germ_cache = {}
         self._residue_cache = {}
 
@@ -144,9 +162,7 @@ class RHSolution:
         U1 = self.U0 + dU
         pieces = [(a, b, 1.0) for a, b in zip(verts, verts[1:])]
         _, h1 = self.kc.continue_h_along(pieces)
-        flipped = [(a, b, -1.0) for a, b in zip(verts, verts[1:])]
-        _, h2 = self.kc.continue_h_along(flipped)
-        out = (U1, h1, h2, verts)
+        out = (U1, h1, self._flip * h1, verts)
         self._germ_cache[key] = out
         return out
 
@@ -163,63 +179,53 @@ class RHSolution:
             return np.eye(2, dtype=complex)
         self._check_regular(z)
         U1, h1, h2, _ = self._germ(z)
-        return self._assemble(z, U1, (h1, h2))
+        psi, _ = self._assemble([z], U1[:, None], (h1, h2))
+        return psi[0]
 
     def psi_eval(self, lam):
         z = complex(lam)
         U1, h1, h2, verts = self._germ(z)
         return PsiEvaluation(z, self.psi(z), verts, U1, (h1, h2))
 
-    def _assemble(self, z, U1, hs):
-        B = self.periods.B
-        U_col = (U1, -U1)
-        U_row = (self.U0, -self.U0)
-        out = np.empty((2, 2), dtype=complex)
-        for k in range(2):
-            for j in range(2):
-                zeta = U_col[j] - U_row[k]
-                num = theta(zeta, B, self.kc.char)
-                den = theta(zeta, B, self.kc.odd_char)
-                out[k, j] = ((z - self.lambda0) * num * hs[j] * self.h0[k]
-                             / (self.kc.theta0 * den))
-        return out
+    def _assemble(self, zs, U1, hs):
+        """Psi and its analytic lambda derivative, (N, 2, 2) each, at points
+        zs (N,) from their sheet-1 Abel values U1 (g, N) and spinor values
+        hs = (h1, h2).  The derivative differentiates the theta arguments
+        through the normalized differentials and the scalar factors through
+        the logarithmic derivative of the spinor; no finite differences.
+        Theta stacks run over the points only, never over entries."""
+        kc, B = self.kc, self.periods.B
+        zs = np.asarray(zs, dtype=complex)
+        v1 = self.periods.differentials(zs)
+        hlog = 0.5 * kc.q_poly_deriv(zs) / kc.q_poly(zs) \
+            - 0.5 * self.curve.log_derivative_sum(zs)
+        dz = zs - self.lambda0
+        psi = np.empty((len(zs), 2, 2), dtype=complex)
+        dpsi = np.empty_like(psi)
+        for j, sgn in enumerate((1.0, -1.0)):
+            # entry (1, 1 - j) sits at -zeta with column sign -sgn; theta[odd]
+            # is odd, so es and rest of entry (0, j) serve it too
+            zeta = sgn * U1 - self.U0[:, None]
+            es = theta_derivs(zeta, B, kc.odd_char)
+            rest = hlog - sgn * (v1 * es.grad).sum(axis=0) / es.value
+            for k, col, s in ((0, j, 1.0), (1, 1 - j, -1.0)):
+                ec = theta_derivs(s * zeta, B, kc.char)
+                c = hs[col] * self.h0[k] / (kc.theta0 * s * es.value)
+                psi[:, k, col] = dz * ec.value * c
+                dpsi[:, k, col] = c * (ec.value * (1.0 + dz * rest) + dz
+                                       * s * sgn * (v1 * ec.grad).sum(axis=0))
+        return psi, dpsi
 
     def psi_pair(self, lam):
-        """Matrix and its analytic lambda derivative in one pass.
-
-        The derivative differentiates the theta arguments through the
-        normalized differentials and the scalar factors through the
-        logarithmic derivative of the spinor; no finite differences.
-        """
+        """Matrix and its analytic lambda derivative in one pass."""
         z = complex(lam)
         self._check_regular(z)
         if abs(z - self.lambda0) < 1e-9 * self.curve.scale:
             raise SingularPoint(
                 "analytic derivative is assembled away from the basepoint")
         U1, h1, h2, _ = self._germ(z)
-        B = self.periods.B
-        v1 = self.periods.differentials(z)[:, 0]
-        vs = (v1, -v1)
-        hs = (h1, h2)
-        q = self.kc.q_poly(z)
-        hlog = 0.5 * self.kc.q_poly_deriv(z) / q \
-            - 0.5 * self.curve.log_derivative_sum(z)
-        U_col = (U1, -U1)
-        U_row = (self.U0, -self.U0)
-        psi = np.empty((2, 2), dtype=complex)
-        dpsi = np.empty((2, 2), dtype=complex)
-        dz = z - self.lambda0
-        for k in range(2):
-            for j in range(2):
-                zeta = U_col[j] - U_row[k]
-                ec = theta_derivs(zeta, B, self.kc.char)
-                es = theta_derivs(zeta, B, self.kc.odd_char)
-                c = hs[j] * self.h0[k] / (self.kc.theta0 * es.value)
-                psi[k, j] = dz * ec.value * c
-                dlog_rest = hlog - (es.grad @ vs[j]) / es.value
-                dpsi[k, j] = c * (ec.value * (1.0 + dz * dlog_rest)
-                                  + dz * (ec.grad @ vs[j]))
-        return psi, dpsi
+        psi, dpsi = self._assemble([z], U1[:, None], (h1, h2))
+        return psi[0], dpsi[0]
 
     def ode_matrix(self, lam):
         """Logarithmic derivative; a rational function with simple poles
@@ -231,32 +237,15 @@ class RHSolution:
         """Logarithmic derivative, (2, 2, N), at N points on the circle of
         radius rho around branch point n.  One germ, routed to the first node
         by ``ode_matrix``, serves them all and checks each batch there."""
-        z_ref = self.curve.points[n] + rho * np.exp(1j * _CIRCLE_PHASE)
-        ref = self.ode_matrix(z_ref)
-        U_ref = self._germ_cache[complex(z_ref)][0]
-        B, kc = self.periods.B, self.kc
-        U_row = (self.U0[:, None], -self.U0[:, None])
+        z_ref, abel = _circle_abel(self.periods, n, rho,
+                                   lambda z: self._germ_cache[complex(z)][0])
+        ref = self.ode_matrix(z_ref)    # routes the germ the hops start from
 
         def f(zs):
             zs = np.append(zs, z_ref)
-            U1 = self.periods.abel_near_branch(n, zs, z_ref, U_ref)
-            v1 = self.periods.differentials(zs)
-            hs = (kc.h(zs, 1), kc.h(zs, 2))
-            hlog = 0.5 * kc.q_poly_deriv(zs) / kc.q_poly(zs) \
-                - 0.5 * self.curve.log_derivative_sum(zs)
-            dz = zs - self.lambda0
-            psi = np.empty((len(zs), 2, 2), dtype=complex)
-            dpsi = np.empty_like(psi)
-            for k in range(2):
-                for j, sgn in enumerate((1.0, -1.0)):
-                    zeta = sgn * U1 - U_row[k]
-                    ec = theta_derivs(zeta, B, kc.char)
-                    es = theta_derivs(zeta, B, kc.odd_char)
-                    c = hs[j] * self.h0[k] / (kc.theta0 * es.value)
-                    psi[:, k, j] = dz * ec.value * c
-                    rest = hlog - sgn * (v1 * es.grad).sum(axis=0) / es.value
-                    dpsi[:, k, j] = c * (ec.value * (1.0 + dz * rest) + dz
-                                         * sgn * (v1 * ec.grad).sum(axis=0))
+            U1 = abel(zs)
+            hs = (self.kc.h(zs, 1), self.kc.h(zs, 2))
+            psi, dpsi = self._assemble(zs, U1, hs)
             out = np.moveaxis(dpsi @ np.linalg.inv(psi), 0, -1)
             err = np.max(np.abs(out[:, :, -1] - ref))
             if not err <= 1e-10 * max(1.0, np.max(np.abs(ref))):
@@ -346,13 +335,17 @@ class RHSolution:
         """Continue both columns along a basepointed polyline.
 
         Returns one MonodromyColumn per starting sheet.  The Abel integral
-        is evaluated once; the second column is its exact negative.
+        and the spinor are continued once: the second column's Abel value
+        is the exact negative of the first's, and its spinor, continued
+        along the sign-flipped pieces, the constant ``_flip`` times it.
         """
         pieces, events = split_polyline(self.curve.cuts, verts, closed=False,
                                         start_sign=1.0)
         dU = integrate_pieces(
             lambda z, s: self.periods.differentials(z, s), pieces, tol=1e-12)
         flips = len(events) % 2
+        _, h_end = self.kc.continue_h_along(pieces)
+        h_ends = (h_end, self._flip * h_end)
         out = []
         for j in range(2):
             sign = 1.0 if j == 0 else -1.0
@@ -364,9 +357,7 @@ class RHSolution:
             if resid > 1e-7:
                 raise LatticeExtractionFailed(
                     f"continued Abel value off the lattice by {resid:.2e}")
-            col_pieces = pieces if j == 0 else [(a, b, -s) for a, b, s in pieces]
-            _, h_end = self.kc.continue_h_along(col_pieces)
-            ratio = h_end / self.h0[end_sheet]
+            ratio = h_ends[j] / self.h0[end_sheet]
             sigma = int(np.rint(ratio.real))
             if abs(ratio - sigma) > 1e-6 or sigma not in (-1, 1):
                 raise LatticeExtractionFailed(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRiemannMatrix, TruncationOverflow
+from .errors import NoOddNonsingularChar, NotRiemannMatrix, TruncationOverflow
 
 # Hard cap on the per-axis summation radius; reached only for nearly
 # degenerate period matrices where the series is numerically hopeless.
@@ -186,7 +186,6 @@ def find_odd_nonsingular_char(B, tol_nonsingular=1e-8):
             return ch
         if best is None or norm > best[0]:
             best = (norm, ch)
-    from .errors import NoOddNonsingularChar
     raise NoOddNonsingularChar(
         f"all odd characteristics have gradient below {tol_nonsingular:g} "
         f"(best {best[0]:.2e})")

@@ -84,17 +84,30 @@ def test_hamiltonians_ignore_normalization_point(sol1):
         assert abs(a - b) < 1e-6
 
 
-def test_batched_circles_match_per_node_path(sol1, sol2):
+def test_batched_circles_match_per_node_path(sol1, sol2, monkeypatch):
     # references evaluate ode_matrix and the kernel one node at a time
     def per_node(f, sol, m, tol):
         p = sol.curve.points[m]
         rho = 0.25 * min(abs(p - q) for i, q in enumerate(sol.curve.points)
                          if i != m)
-        return integrate_circle(lambda zs: np.array([f(z) for z in zs]), p,
-                                rho, tol=tol, phase=_CIRCLE_PHASE) / (2j * np.pi)
+        return integrate_circle(lambda zs: np.stack([f(z) for z in zs], -1),
+                                p, rho, tol=tol,
+                                phase=_CIRCLE_PHASE) / (2j * np.pi)
 
-    for sol in (sol1, sol2):
+    def variation(sol, z, at):
+        # the differentials times the kernel, summed over both sheets
+        return sum(sol.periods.differentials(z, s)[:, 0]
+                   * sol.kc.bergmann((z, j), (at, 1))
+                   for j, s in ((1, 1.0), (2, -1.0)))
+
+    for sol, at in ((sol1, 0.9 + 1.8j), (sol2, -1.4 - 1.9j)):
         for m in (0, len(sol.curve.points) - 1):
+            # with the finite difference replaced by the per-node circle,
+            # the check returns its distance from the batched circle
+            ref = per_node(lambda z: variation(sol, z, at), sol, m, 1e-11)
+            monkeypatch.setattr(iso, "_central", lambda f, h, r: ref)
+            assert iso.differential_variation_check(sol, m, at) < 1e-10
+            monkeypatch.undo()
             ham = 0.5 * per_node(
                 lambda z: np.trace(np.linalg.matrix_power(sol.ode_matrix(z), 2)),
                 sol, m, 1e-8)

@@ -5,6 +5,7 @@ import pytest
 
 from rhtheta.errors import (InconsistentLayout, LatticeExtractionFailed,
                             SingularPoint)
+from rhtheta.geometry import split_polyline
 from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
 from rhtheta.kernels import KernelContext
 from rhtheta.quadrature import integrate_circle
@@ -95,6 +96,41 @@ def test_evaluation_record(sol1):
     # the stored spinor germs square to the tagged algebraic values
     assert abs(ev.spinor_values[0] ** 2 - sol1.kc.h_squared(z, 1)) < 1e-10
     assert abs(ev.spinor_values[1] ** 2 - sol1.kc.h_squared(z, 2)) < 1e-10
+
+
+def test_flipped_spinor_track_is_a_constant_multiple(sol1, sol2, mon1, mon2):
+    # h^2 on sheet 2 is exactly -h^2 on sheet 1, so tracking h along the
+    # sign-flipped pieces reproduces +-i times the sheet-1 track, bit for
+    # bit, on every monodromy loop and on germ routes
+    rng = np.random.default_rng(17)
+    for sol, mons in ((sol1, mon1), (sol2, mon2)):
+        paths = [split_polyline(sol.curve.cuts, m.vertices, closed=False)[0]
+                 for m in mons]
+        for _ in range(5):
+            verts = sol.periods.sheet1_route(sol.lambda0,
+                                             _rand_regular(sol, rng))
+            paths.append([(a, b, 1.0) for a, b in zip(verts, verts[1:])])
+        for pieces in paths:
+            s1, e1 = sol.kc.continue_h_along(pieces)
+            flipped = [(a, b, -s) for a, b, s in pieces]
+            s2, e2 = sol.kc.continue_h_along(flipped)
+            assert s2 == sol._flip * s1 and e2 == sol._flip * e1
+
+
+def test_one_spinor_continuation_per_path(sol1, monkeypatch):
+    fresh = RHSolution(sol1.periods, None, sol1.lambda0, kernel=sol1.kc)
+    calls = []
+    track = KernelContext.continue_h_along
+
+    def counted(self, pieces):
+        calls.append(pieces)
+        return track(self, pieces)
+
+    monkeypatch.setattr(KernelContext, "continue_h_along", counted)
+    fresh._germ(0.8 - 1.7j)
+    assert len(calls) == 1
+    fresh._continue_columns(fresh.loop_vertices(1))
+    assert len(calls) == 2
 
 
 def test_monodromy_structure(sol1, sol2, mon1, mon2):
