@@ -56,7 +56,6 @@ fd = (theta(z, B + dB, ch) - theta(z, B - dB, ch)) / (2 * h)
 want = 2 * ev.hess[0, 1] / (4j * np.pi)
 print(f"B-direction derivative     fd vs closed {abs(fd - want):.2e}")
 
-star = find_odd_nonsingular_char(B)
-grad = theta_derivs(np.zeros(g), B, star).grad
+star, grad = find_odd_nonsingular_char(B)
 print(f"odd nonsingular char       p*={star.p} q*={star.q}, "
       f"|grad| = {np.linalg.norm(grad):.4f}")

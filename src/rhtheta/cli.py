@@ -227,7 +227,7 @@ def cmd_theta_eval(config):
     char = None
     if data.get("char") is not None:
         char = _char_from_dict(data["char"], genus=len(z))
-    ev = theta_derivs(z, B, char)
+    ev = theta_derivs(z, B, char, order=1)
     report = {
         "value": complex_to_lists(ev.value),
         "gradient": complex_to_lists(ev.grad),

@@ -44,6 +44,7 @@ from .geometry import (
     split_polyline,
 )
 from .quadrature import integrate_pieces, integrate_segment, integrate_substituted
+from .theta import ThetaContext
 
 # Retry ladder for homology-loop construction: (margin, stub) as fractions
 # of the minimal branch-point separation.  Each failure rebuilds the whole
@@ -172,6 +173,14 @@ class PeriodData:
     b_pieces: list
     gram: np.ndarray
     _anchor_cache: dict = field(default_factory=dict, repr=False)
+    _theta_context: ThetaContext = field(default=None, repr=False)
+
+    @property
+    def theta_context(self):
+        """Theta template of B, built on first use."""
+        if self._theta_context is None:
+            self._theta_context = ThetaContext(self.B)
+        return self._theta_context
 
     # -- differentials ------------------------------------------------
 

@@ -148,7 +148,7 @@ def w1_sheet_sum(kernel, lam):
     """Sheet sum of the theta-gradient combination of the differentials
     entering the diagonal expansion of the solution; identically zero."""
     ev = theta_derivs(np.zeros(kernel.periods.curve.genus),
-                      kernel.periods.B, kernel.char)
+                      kernel.periods.theta_context, kernel.char, order=1)
     grad = ev.grad / ev.value
     total = 0.0
     for sgn in (1.0, -1.0):
@@ -190,7 +190,7 @@ def theta_constant_derivative(kernel, m):
     """Derivative of the log theta constant in branch point m: the heat
     equation converts the period derivative into the theta Hessian."""
     pd = kernel.periods
-    ev = theta_derivs(np.zeros(pd.curve.genus), pd.B, kernel.char)
+    ev = theta_derivs(np.zeros(pd.curve.genus), pd.theta_context, kernel.char)
     return np.sum((ev.hess / ev.value) * b_derivative(pd, m)) / (4j * np.pi)
 
 
@@ -296,7 +296,8 @@ def tau_closed_form(sol, char=None, reference=None):
                                     reference.pair_logs, pd.curve.scale)
     vandermonde = np.exp(-0.125 * np.sum(pair_logs))
     factor = np.exp(-0.5 * log_det_a) * vandermonde
-    theta_factor = complex(theta(np.zeros(pd.curve.genus), pd.B, char))
+    theta_factor = complex(theta(np.zeros(pd.curve.genus), pd.theta_context,
+                                 char))
     return TauEvaluation(value=factor * theta_factor, factor=factor,
                          theta_factor=theta_factor, det_a=det_a,
                          vandermonde=vandermonde, log_det_a=log_det_a,
@@ -315,8 +316,8 @@ def _dlog_tau_fd(pd0, char, m, s, theta_part=True):
             out -= 0.125 * np.log((lam[m] + s - lam[n]) / (lam[m] - lam[n]))
     if theta_part:
         g = curve.genus
-        out += np.log(theta(np.zeros(g), pds.B, char)
-                      / theta(np.zeros(g), pd0.B, char))
+        out += np.log(theta(np.zeros(g), pds.theta_context, char)
+                      / theta(np.zeros(g), pd0.theta_context, char))
     return out
 
 
@@ -348,7 +349,7 @@ def thomae_ratios(periods):
             for i, mm in enumerate(group):
                 for nn in group[i + 1:]:
                     prod *= points[mm] - points[nn]
-        th = complex(theta(np.zeros(g), periods.B, ch))
+        th = complex(theta(np.zeros(g), periods.theta_context, ch))
         out.append(th ** 4 * (2j * np.pi) ** (2 * g) / (det_a ** 2 * prod))
     return np.array(out)
 
@@ -362,8 +363,8 @@ def translation_defect(periods, char, eps):
                                         cut_pairing=curve.cut_index_pairs))
     g = curve.genus
     out = -0.5 * np.log(np.linalg.det(moved.A) / np.linalg.det(periods.A))
-    out += np.log(theta(np.zeros(g), moved.B, char)
-                  / theta(np.zeros(g), periods.B, char))
+    out += np.log(theta(np.zeros(g), moved.theta_context, char)
+                  / theta(np.zeros(g), periods.theta_context, char))
     return float(abs(out))
 
 

@@ -43,19 +43,19 @@ def riemann_constant(periods, tol=1e-6):
     (g-1)-element branch point divisors D and insists on a unique winner.
     """
     g = periods.curve.genus
-    B = periods.B
+    B, ctx = periods.B, periods.theta_context
     n_pts = len(periods.curve.points)
     U = [periods.abel(branch_index=m) for m in range(n_pts)]
     divisors = [sum((U[m] for m in D), np.zeros(g, dtype=complex))
                 for D in itertools.combinations(range(n_pts), g - 1)]
-    scale = abs(theta(np.zeros(g), B))
+    scale = abs(theta(np.zeros(g), ctx))
     winners = []
     halves = (0.0, 0.5)
     for bits in itertools.product(halves, repeat=2 * g):
         p = np.array(bits[:g])
         q = np.array(bits[g:])
         K = B @ p + q
-        worst = max(abs(theta(K + d, B)) for d in divisors)
+        worst = max(abs(theta(K + d, ctx)) for d in divisors)
         if worst < tol * scale:
             winners.append((K, worst))
     if len(winners) != 1:
@@ -93,7 +93,7 @@ def even_subset_characteristics(periods, tol=1e-8):
         ch = ThetaChar.from_arrays(np.mod(p, 1.0), np.mod(q, 1.0))
         if ch.parity() != 1:
             raise RelationViolated(f"subset {T} characteristic is odd")
-        if abs(theta(np.zeros(g), B, ch)) < tol:
+        if abs(theta(np.zeros(g), periods.theta_context, ch)) < tol:
             raise RelationViolated(f"subset {T} theta constant vanishes")
         out.append((T, ch))
     return out
@@ -145,14 +145,13 @@ class KernelContext:
         self.periods = periods
         g = periods.curve.genus
         self.char = char if char is not None else ThetaChar.zero(g)
-        self.odd_char = find_odd_nonsingular_char(periods.B)
-        ev = theta_derivs(np.zeros(g), periods.B, self.odd_char)
-        self.gstar = ev.grad
+        ctx = periods.theta_context
+        self.odd_char, self.gstar = find_odd_nonsingular_char(ctx)
         # Q(lambda) = sum_beta coeff_beta lambda^beta, coefficients in
         # ascending order; h^2 = Q/w
         self.q_coeffs = periods.C @ self.gstar
-        self.theta0 = theta(np.zeros(g), periods.B, self.char)
-        scale = abs(theta(np.zeros(g), periods.B))
+        self.theta0 = theta(np.zeros(g), ctx, self.char)
+        scale = abs(theta(np.zeros(g), ctx))
         if abs(self.theta0) < 1e-8 * scale:
             raise CharOnThetaDivisor(
                 "theta constant of the twist characteristic vanishes")
@@ -197,25 +196,25 @@ class KernelContext:
         if abs(P[0] - Q[0]) < 1e-12 * self.periods.curve.scale and P[1] == Q[1]:
             raise CoincidentPoints("prime form needs distinct points")
         zeta = self.abel(P) - self.abel(Q)
-        return (theta(zeta, self.periods.B, self.odd_char)
+        return (theta(zeta, self.periods.theta_context, self.odd_char)
                 / (self.h(*P) * self.h(*Q)))
 
     def szego(self, P, Q):
         """Szego kernel with the twist characteristic, per point h signs."""
         zeta = self.abel(P) - self.abel(Q)
-        num = theta(zeta, self.periods.B, self.char)
-        den = theta(zeta, self.periods.B, self.odd_char)
+        num = theta(zeta, self.periods.theta_context, self.char)
+        den = theta(zeta, self.periods.theta_context, self.odd_char)
         return num * self.h(*P) * self.h(*Q) / (self.theta0 * den)
 
     def log_hess_odd(self, zeta):
         """Hessian of log theta[odd] at zeta, also at stacked points (g, N)."""
-        ev = theta_derivs(zeta, self.periods.B, self.odd_char)
+        ev = theta_derivs(zeta, self.periods.theta_context, self.odd_char)
         return (ev.hess / ev.value
                 - ev.grad[:, None] * ev.grad[None, :] / ev.value ** 2)
 
     def log_hess_char_at_zero(self):
         g = self.periods.curve.genus
-        ev = theta_derivs(np.zeros(g), self.periods.B, self.char)
+        ev = theta_derivs(np.zeros(g), self.periods.theta_context, self.char)
         return ev.hess / ev.value - np.outer(ev.grad, ev.grad) / ev.value ** 2
 
     def bergmann(self, P, Q):
@@ -249,7 +248,7 @@ class KernelContext:
         g = self.periods.curve.genus
         z = sum((self.abel(x) for x in xs), np.zeros(g, dtype=complex)) \
             - sum((self.abel(y) for y in ys), np.zeros(g, dtype=complex))
-        rhs = theta(z, self.periods.B, self.char) / self.theta0
+        rhs = theta(z, self.periods.theta_context, self.char) / self.theta0
         for i in range(n):
             for j in range(i + 1, n):
                 rhs *= self.prime_form(xs[i], xs[j])
@@ -266,8 +265,9 @@ class KernelContext:
         """Track the half differential along sheet tagged pieces.
 
         Starts from the principal value at the first point and follows the
-        nearest root sample to sample, bisecting on large jumps.  Returns
-        (start value, end value).
+        nearest root sample to sample, bisecting on large jumps.  A piece's
+        samples are evaluated in one call, bisection points one at a time.
+        Returns (start value, end value).
         """
         z0, _, s0 = pieces[0]
         start = np.sqrt(self.h_squared(z0, 1 if s0 > 0 else 2))
@@ -280,19 +280,20 @@ class KernelContext:
             # sheet-tagged square is on a knife edge and both roots are
             # equidistant from the tracked value
             ts = (np.arange(n0) + 0.5) / n0
-            samples = [za + (zb - za) * t for t in ts]
+            samples = za + (zb - za) * ts
             if idx == len(pieces) - 1:
-                samples.append(zb)
-            stack = list(reversed(samples))
+                samples = np.append(samples, zb)
+            roots = np.sqrt(self.h_squared(samples, sheet))
+            stack = list(zip(samples[::-1], roots[::-1]))
             prev_z = za
             while stack:
-                z = stack.pop()
-                val = np.sqrt(self.h_squared(z, sheet))
+                z, val = stack.pop()
                 best = val if abs(val - cur) <= abs(val + cur) else -val
                 if abs(best - cur) > 0.6 * max(abs(best), abs(cur)) \
                         and abs(z - prev_z) > 1e-12:
-                    stack.append(z)
-                    stack.append(0.5 * (z + prev_z))
+                    mid = 0.5 * (z + prev_z)
+                    stack.append((z, val))
+                    stack.append((mid, np.sqrt(self.h_squared(mid, sheet))))
                     continue
                 cur = best
                 prev_z = z
@@ -326,7 +327,7 @@ class KernelContext:
         if subset is None:
             subset = even_subset_characteristics(pd)[0]
         T, ch = subset
-        ev = theta_derivs(np.zeros(curve.genus), pd.B, ch)
+        ev = theta_derivs(np.zeros(curve.genus), pd.theta_context, ch)
         dd = ev.hess / ev.value
         lam_m = curve.points[m]
         side = 1.0 if m in T else -1.0

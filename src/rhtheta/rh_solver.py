@@ -194,7 +194,7 @@ class RHSolution:
         through the normalized differentials and the scalar factors through
         the logarithmic derivative of the spinor; no finite differences.
         Theta stacks run over the points only, never over entries."""
-        kc, B = self.kc, self.periods.B
+        kc, ctx = self.kc, self.periods.theta_context
         zs = np.asarray(zs, dtype=complex)
         v1 = self.periods.differentials(zs)
         hlog = 0.5 * kc.q_poly_deriv(zs) / kc.q_poly(zs) \
@@ -206,10 +206,10 @@ class RHSolution:
             # entry (1, 1 - j) sits at -zeta with column sign -sgn; theta[odd]
             # is odd, so es and rest of entry (0, j) serve it too
             zeta = sgn * U1 - self.U0[:, None]
-            es = theta_derivs(zeta, B, kc.odd_char)
+            es = theta_derivs(zeta, ctx, kc.odd_char, order=1)
             rest = hlog - sgn * (v1 * es.grad).sum(axis=0) / es.value
             for k, col, s in ((0, j, 1.0), (1, 1 - j, -1.0)):
-                ec = theta_derivs(s * zeta, B, kc.char)
+                ec = theta_derivs(s * zeta, ctx, kc.char, order=1)
                 c = hs[col] * self.h0[k] / (kc.theta0 * s * es.value)
                 psi[:, k, col] = dz * ec.value * c
                 dpsi[:, k, col] = c * (ec.value * (1.0 + dz * rest) + dz

@@ -1,12 +1,15 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rhtheta.cli import _psi_samples
 from rhtheta.errors import (InconsistentLayout, LatticeExtractionFailed,
                             SingularPoint)
 from rhtheta.geometry import split_polyline
-from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
+from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods, load_curve
 from rhtheta.kernels import KernelContext
 from rhtheta.quadrature import integrate_circle
 from rhtheta.rh_solver import _CIRCLE_PHASE, PsiEvaluation, RHSolution
@@ -115,6 +118,61 @@ def test_flipped_spinor_track_is_a_constant_multiple(sol1, sol2, mon1, mon2):
             flipped = [(a, b, -s) for a, b, s in pieces]
             s2, e2 = sol.kc.continue_h_along(flipped)
             assert s2 == sol._flip * s1 and e2 == sol._flip * e1
+
+
+def _per_sample_track(kc, pieces):
+    """Reference spinor track: one h_squared call per sample point."""
+    z0, _, s0 = pieces[0]
+    start = np.sqrt(kc.h_squared(z0, 1 if s0 > 0 else 2))
+    cur = start
+    for idx, (za, zb, s) in enumerate(pieces):
+        sheet = 1 if s > 0 else 2
+        n0 = max(4, int(np.ceil(abs(zb - za)
+                                / (0.15 * kc.periods.curve.min_separation))))
+        ts = (np.arange(n0) + 0.5) / n0
+        samples = [za + (zb - za) * t for t in ts]
+        if idx == len(pieces) - 1:
+            samples.append(zb)
+        stack = list(reversed(samples))
+        prev_z = za
+        while stack:
+            z = stack.pop()
+            val = np.sqrt(kc.h_squared(z, sheet))
+            best = val if abs(val - cur) <= abs(val + cur) else -val
+            if abs(best - cur) > 0.6 * max(abs(best), abs(cur)) \
+                    and abs(z - prev_z) > 1e-12:
+                stack.append(z)
+                stack.append(0.5 * (z + prev_z))
+                continue
+            cur = best
+            prev_z = z
+    return start, cur
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_batched_spinor_track_matches_per_sample_reference(genus, monkeypatch):
+    # every monodromy loop and every germ route of the solve report's
+    # samples: a piece's samples evaluated in one call track the same
+    # spinor, bit for bit, as one call per sample
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    curve, lam0 = load_curve(samples / f"curve_g{genus}.json")
+    c = json.loads((samples / f"char_g{genus}.json").read_text())
+    sol = RHSolution(compute_periods(curve), ThetaChar(tuple(c["p"]),
+                                                       tuple(c["q"])), lam0)
+    track = KernelContext.continue_h_along
+    checked = []
+
+    def compared(self, pieces):
+        out = track(self, pieces)
+        assert out == _per_sample_track(self, pieces)
+        checked.append(pieces)
+        return out
+
+    monkeypatch.setattr(KernelContext, "continue_h_along", compared)
+    sol.monodromies()
+    assert len(checked) == len(curve.points)
+    _psi_samples(sol)
+    assert len(checked) > len(curve.points) + 20
 
 
 def test_one_spinor_continuation_per_path(sol1, monkeypatch):

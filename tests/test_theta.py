@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rhtheta.theta as theta_module
 from rhtheta.errors import NotRiemannMatrix, TruncationOverflow
 from rhtheta.theta import (
     ThetaChar,
+    ThetaContext,
     find_odd_nonsingular_char,
     theta,
     theta_derivs,
@@ -21,6 +24,128 @@ def random_riemann_matrix(rng, g):
     R = rng.uniform(-1, 1, (g, g))
     Y = R @ R.T + (0.6 + 0.4 * g) * np.eye(g)
     return X + 1j * Y
+
+
+def conditioned_riemann_matrix(rng, g, lam_min, cond):
+    """Random B whose Im B has smallest eigenvalue lam_min and condition
+    number cond (g > 1)."""
+    X = rng.uniform(-1, 1, (g, g))
+    Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    t = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, max(0, g - 2))])[:g]
+    Y = Q @ np.diag(lam_min * cond ** t) @ Q.T
+    return X + X.T + 1j * 0.5 * (Y + Y.T)
+
+
+def box_sum(z, B, char, tol=1e-14):
+    """Reference: the former box sum at one point, |n_i - c_i| <= r.
+
+    Returns (value, grad, hess) and, for each, the sum of the moduli of
+    its summands, each weighted by 1 + |x| for its exponent x: the scale
+    that rounding errors are proportional to, as exp(x) is computed with
+    an error of about eps |x| |exp(x)|.
+    """
+    Y = B.imag
+    lam = np.linalg.eigvalsh(Y).min()
+    r = np.sqrt((-np.log(tol) + 8.0) / (np.pi * lam))
+    p, q = char.arrays()
+    c = -np.linalg.solve(Y, z.imag) - p
+    axes = [np.arange(np.floor(ci - r), np.ceil(ci + r) + 1) for ci in c]
+    n = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(c))
+    m = n + p
+    expo = (1j * np.pi * np.einsum("ka,ab,kb->k", m, B, m)
+            + 2j * np.pi * m @ (z + q))
+    shift = expo.real.max()
+    e = np.exp(shift) * np.exp(expo - shift)
+    u = 2j * np.pi * m
+    out = (e.sum(), u.T @ e, np.einsum("ka,kb,k->ab", u, u, e))
+    size = np.abs(e) * (1.0 + np.abs(expo))
+    grow = 1.0 + np.linalg.norm(u, axis=1)
+    scales = (size.sum(), (size * grow).sum(), (size * grow ** 2).sum())
+    return out, scales
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       lam_min=st.floats(0.25, 1.5), cond=st.floats(1.0, 50.0))
+def test_template_covers_the_certified_ellipsoid(g, seed, lam_min, cond):
+    # round(c) + K must hold every lattice point n of the box around c
+    # with (n - c).Y(n - c) <= lam_min r^2, for any centre c
+    rng = np.random.default_rng(seed)
+    B = conditioned_riemann_matrix(rng, g, lam_min, cond if g > 1 else 1.0)
+    ctx = ThetaContext(B)
+    Y = ctx.B.imag
+    lam = np.linalg.eigvalsh(B.imag).min()
+    r = ctx.radius
+    template = {tuple(k) for k in ctx.k.astype(int)}
+    for c in rng.uniform(-5, 5, (4, g)):
+        axes = [np.arange(np.floor(ci - r), np.ceil(ci + r) + 1) for ci in c]
+        n = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, g)
+        d = n - c
+        inside = n[np.einsum("ka,ab,kb->k", d, Y, d) <= lam * r * r]
+        assert len(inside) > 0
+        a = np.rint(c)
+        missed = [k for k in (inside - a).astype(int)
+                  if tuple(k) not in template]
+        assert not missed, f"{len(missed)} ellipsoid points outside a + K"
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_engine_matches_box_sum(g):
+    rng = np.random.default_rng(30 + g)
+    mats = [random_riemann_matrix(rng, g)]
+    if g > 1:
+        mats.append(conditioned_riemann_matrix(rng, g, 0.4, 50.0))
+    for B in mats:
+        ctx = ThetaContext(B)
+        for ch in (ThetaChar.zero(g),
+                   ThetaChar.from_arrays(rng.uniform(-1, 1, g),
+                                         rng.uniform(-1, 1, g)),
+                   ThetaChar(tuple(rng.integers(0, 2, g) / 2),
+                             tuple(rng.integers(0, 2, g) / 2))):
+            # spread centres: imaginary parts move the Gaussian centre
+            # across several lattice cells
+            zs = rng.normal(0, 1.0, (g, 6)) + 1j * rng.normal(0, 2.0, (g, 6))
+            refs = [box_sum(zs[:, k], B, ch) for k in range(6)]
+            for order in (0, 1, 2):
+                stacked = theta_derivs(zs, ctx, ch, order=order)
+                for k, (want, scale) in enumerate(refs):
+                    one = theta_derivs(zs[:, k], B, ch, order=order)
+                    got = [(one.value, stacked.value[k])]
+                    if order >= 1:
+                        got.append((one.grad, stacked.grad[:, k]))
+                    if order >= 2:
+                        got.append((one.hess, stacked.hess[:, :, k]))
+                    for (x, y), w, sc in zip(got, want, scale):
+                        assert np.max(np.abs(x - w)) <= 1e-13 * sc
+                        assert np.max(np.abs(y - w)) <= 1e-13 * sc
+
+
+def test_order_below_two_skips_the_hessian():
+    rng = np.random.default_rng(40)
+    B = random_riemann_matrix(rng, 3)
+    z = rng.normal(0, 0.5, 3) + 1j * rng.normal(0, 0.5, 3)
+    zs = rng.normal(0, 0.5, (3, 4)) + 1j * rng.normal(0, 0.5, (3, 4))
+    for pts in (z, zs):
+        full = theta_derivs(pts, B)
+        first = theta_derivs(pts, B, order=1)
+        value = theta_derivs(pts, B, order=0)
+        assert first.hess is None and value.hess is None
+        assert value.grad is None
+        assert np.array_equal(first.grad, full.grad)
+        assert np.array_equal(value.value, full.value)
+        assert np.array_equal(first.value, full.value)
+
+
+def test_context_matches_matrix_and_checks_tolerance():
+    rng = np.random.default_rng(42)
+    B = random_riemann_matrix(rng, 2)
+    z = rng.normal(0, 0.5, 2) + 1j * rng.normal(0, 0.5, 2)
+    ctx = ThetaContext(B)
+    assert theta(z, ctx) == theta(z, B)
+    with pytest.raises(ValueError):
+        theta(z, ctx, tol=1e-10)
+    with pytest.raises(ValueError):
+        theta_derivs(z, ctx, order=3)
 
 
 def test_value_g1_frozen():
@@ -179,15 +304,17 @@ def test_heat_equation():
 
 def test_odd_nonsingular_char():
     rng = np.random.default_rng(14)
-    ch = find_odd_nonsingular_char(np.array([[1j]]))
+    ch, _ = find_odd_nonsingular_char(np.array([[1j]]))
     assert ch.p == (0.5,) and ch.q == (0.5,)
     for g in (2, 3):
         B = random_riemann_matrix(rng, g)
-        ch = find_odd_nonsingular_char(B)
+        ch, grad = find_odd_nonsingular_char(B)
         assert ch.parity() == -1
         assert abs(theta(np.zeros(g), B, ch)) < 1e-12
         ev = theta_derivs(np.zeros(g), B, ch)
         assert np.linalg.norm(ev.grad) > 1e-8
+        # the handed-back gradient is the one a fresh call computes
+        assert np.array_equal(grad, ev.grad)
 
 
 def test_validation():
