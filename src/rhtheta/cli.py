@@ -69,7 +69,7 @@ CONVENTIONS = {
 
 SUITES = ("fay", "periods", "rauch", "schlesinger", "tau", "compat", "all")
 
-# Default tolerance per check name; all overridable from the command line.
+# Default tolerance per check name; all overridable with verify's --tol.
 TOLERANCES = {
     "b_symmetry": 1e-10,
     "b_imag_definite": 1e-12,
@@ -555,8 +555,6 @@ def _build_parser():
     def common(p):
         p.add_argument("--output", help="write the JSON report here "
                        "instead of stdout")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a named tolerance (repeatable)")
 
     p = sub.add_parser("periods", help="period matrix of a curve")
     p.add_argument("--curve", required=True, help="curve JSON file")
@@ -597,6 +595,8 @@ def _build_parser():
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random draws (default 0)")
+    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                   help="override a named tolerance (repeatable)")
     common(p)
 
     return parser
@@ -616,7 +616,7 @@ def _config_from_args(args):
         reference=getattr(args, "reference", None),
         output=args.output,
         csv=getattr(args, "csv", None),
-        tolerances=_parse_tolerances(args.tol),
+        tolerances=_parse_tolerances(getattr(args, "tol", None)),
         threads=_thread_count(),
     )
 

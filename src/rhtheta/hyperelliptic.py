@@ -174,6 +174,7 @@ class PeriodData:
     gram: np.ndarray
     _anchor_cache: dict = field(default_factory=dict, repr=False)
     _theta_context: ThetaContext = field(default=None, repr=False)
+    _moved: dict = field(default_factory=dict, repr=False)
 
     @property
     def theta_context(self):
@@ -182,7 +183,24 @@ class PeriodData:
             self._theta_context = ThetaContext(self.B)
         return self._theta_context
 
+    def moved(self, m, s):
+        """Period data of the curve with branch point m moved by s, computed
+        on first use and kept.  Threads asking at once each compute the same
+        deterministic result and the first one stored is handed to all, so
+        the cache needs no lock."""
+        moved = self._moved.get((m, s))
+        if moved is None:
+            moved = self._moved.setdefault(
+                (m, s), compute_periods(self.curve.perturb(m, s)))
+        return moved
+
     # -- differentials ------------------------------------------------
+
+    def numerators(self, lam):
+        """Numerator polynomials of the normalized differentials at one
+        point, shape (g,); v_alpha = P_alpha(lam) / w(lam)."""
+        lam = np.asarray(lam, dtype=complex)
+        return (lam ** np.arange(self.curve.genus)) @ self.C
 
     def monomial_rows(self, lam, sign=1.0):
         """Values lambda^(beta-1)/w for beta = 1..g, shape (g, n)."""

@@ -10,7 +10,10 @@ against the corresponding closed formula, or two closed formulas
 against each other.
 
 Finite differences are central with step 1e-5 times the curve scale and
-one Richardson halving; the perturbed curve keeps its cut pairing and
+one Richardson halving, all taken by one helper on the moved period data
+of ``PeriodData.moved``: each moved curve is computed once per base
+``PeriodData`` and shared by every check that moves the same branch
+point by the same step.  The perturbed curve keeps its cut pairing and
 its sorted point order, so all period data stays on the same homology
 basis and the derivatives are honest.
 """
@@ -25,47 +28,30 @@ from .errors import DegenerateCurve, StepTooLarge
 from .hyperelliptic import compute_periods
 from .kernels import KernelContext, even_subset_characteristics
 from .quadrature import integrate_circle
-from .rh_solver import _CIRCLE_PHASE, RHSolution, _circle_abel
+from .rh_solver import _CIRCLE_PHASE, RHSolution, _circle_abel, _circle_radius
 from .theta import ThetaChar, theta, theta_derivs
 
 _FD_FACTOR = 1e-5
 
-# residuals of finite-difference checks are dominated by the difference
-# noise, not by the quadrature or theta error
-TOL_H = 1e-6
-TOL_FD = 1e-4
 
-
-def _step(curve, h):
-    if h is None:
-        h = _FD_FACTOR * curve.scale
+def _central(periods, m, f):
+    """Derivative in branch point m of f(moved, s), a function of the period
+    data with that point moved by s: central, with one Richardson halving."""
+    curve = periods.curve
+    h = _FD_FACTOR * curve.scale
     if h > 0.02 * curve.min_separation:
         raise StepTooLarge(
             f"step {h:.3g} is comparable to the branch point separation")
-    return h
 
+    def at(s):
+        return f(periods.moved(m, s), s)
 
-def _central(f, h, richardson=True):
-    d = (f(h) - f(-h)) / (2.0 * h)
-    if not richardson:
-        return d
-    d2 = (f(h / 2) - f(-h / 2)) / h
+    d = (at(h) - at(-h)) / (2.0 * h)
+    d2 = (at(h / 2) - at(-h / 2)) / h
     return (4.0 * d2 - d) / 3.0
 
 
-def _circle_radius(points, m):
-    return 0.25 * min(abs(points[m] - q)
-                      for i, q in enumerate(points) if i != m)
-
-
 # -- exact variations of the period data ------------------------------------
-
-def numerator_values(periods, lam):
-    """Numerator polynomials of the normalized differentials at lam;
-    v_alpha = P_alpha(lam) / w(lam)."""
-    g = periods.curve.genus
-    return (np.asarray(lam, dtype=complex) ** np.arange(g)) @ periods.C
-
 
 def b_derivative(periods, m):
     """Derivative of the period matrix in branch point m, in closed form.
@@ -75,23 +61,18 @@ def b_derivative(periods, m):
     numerator polynomials over the remaining linear factors.
     """
     lam = periods.curve.points[m]
-    P = numerator_values(periods, lam)
+    P = periods.numerators(lam)
     prodp = np.prod([lam - q for i, q in enumerate(periods.curve.points)
                      if i != m])
     return 4j * np.pi * np.outer(P, P) / prodp
 
 
-def rauch_check(sol, m, alpha=None, beta=None, h=None, richardson=True):
+def rauch_check(sol, m):
     """Finite-difference derivative of the period matrix against the
-    closed form; max-entry residual, or one entry if indexes are given."""
+    closed form; max-entry residual."""
     pd = _periods(sol)
-    h = _step(pd.curve, h)
-    fd = _central(lambda s: compute_periods(pd.curve.perturb(m, s)).B,
-                  h, richardson)
-    diff = np.abs(fd - b_derivative(pd, m))
-    if alpha is not None:
-        return float(diff[alpha, beta])
-    return float(np.max(diff))
+    fd = _central(pd, m, lambda moved, s: moved.B)
+    return float(np.max(np.abs(fd - b_derivative(pd, m))))
 
 
 def b_derivative_sheet_sum(periods, m, tol=1e-11):
@@ -107,7 +88,7 @@ def b_derivative_sheet_sum(periods, m, tol=1e-11):
     return integrate_circle(f, lam0, rho, tol=tol, phase=_CIRCLE_PHASE)
 
 
-def differential_variation_check(sol, m, at, h=None, richardson=True):
+def differential_variation_check(sol, m, at):
     """Variation of the normalized differentials at a fixed point of the
     plane against the kernel-residue formula; max residual over the basis.
 
@@ -119,10 +100,7 @@ def differential_variation_check(sol, m, at, h=None, richardson=True):
     kernel = _kernel(sol)
     pd = kernel.periods
     z = complex(at)
-    h = _step(pd.curve, h)
-    fd = _central(
-        lambda s: compute_periods(pd.curve.perturb(m, s)).differentials(z)[:, 0],
-        h, richardson)
+    fd = _central(pd, m, lambda moved, s: moved.differentials(z)[:, 0])
     lam0, rho = pd.curve.points[m], _circle_radius(pd.curve.points, m)
     _, abel = _circle_abel(pd, m, rho, lambda w: kernel.abel((w, 1)))
     Uz = kernel.abel((z, 1))[:, None]
@@ -205,8 +183,7 @@ def hamiltonian_contour(sol, m, radius_factor=0.25, tol=1e-8):
     """The m-th Hamiltonian as half the residue of the squared trace of
     the logarithmic derivative, straight from the solution matrix."""
     lam0 = sol.curve.points[m]
-    rho = radius_factor * min(abs(lam0 - q) for i, q in
-                              enumerate(sol.curve.points) if i != m)
+    rho = _circle_radius(sol.curve.points, m, radius_factor)
     dlog = sol.circle_log_derivative(m, rho)
 
     def f(zs):
@@ -304,31 +281,28 @@ def tau_closed_form(sol, char=None, reference=None):
                          pair_logs=pair_logs, points=points.copy())
 
 
-def _dlog_tau_fd(pd0, char, m, s, theta_part=True):
-    """Log-ratio of the tau factors between the perturbed and the base
-    periods pd0; each factor moves little, so principal logs are safe."""
-    curve = pd0.curve
-    pds = compute_periods(curve.perturb(m, s))
-    out = -0.5 * np.log(np.linalg.det(pds.A) / np.linalg.det(pd0.A))
-    lam = curve.points
+def _dlog_tau_fd(pd, moved, char, m, s, theta_part=True):
+    """Log-ratio of the tau factors between the periods moved by s in
+    point m and the base periods pd; each factor moves little, so
+    principal logs are safe."""
+    out = -0.5 * np.log(np.linalg.det(moved.A) / np.linalg.det(pd.A))
+    lam = pd.curve.points
     for n in range(len(lam)):
         if n != m:
             out -= 0.125 * np.log((lam[m] + s - lam[n]) / (lam[m] - lam[n]))
     if theta_part:
-        g = curve.genus
-        out += np.log(theta(np.zeros(g), pds.theta_context, char)
-                      / theta(np.zeros(g), pd0.theta_context, char))
+        g = pd.curve.genus
+        out += np.log(theta(np.zeros(g), moved.theta_context, char)
+                      / theta(np.zeros(g), pd.theta_context, char))
     return out
 
 
-def tau_gradient_check(sol, m, h=None, richardson=True):
+def tau_gradient_check(sol, m):
     """|FD of log tau in branch point m minus the closed Hamiltonian|."""
     pd = _periods(sol)
     kernel = _kernel(sol)
-    h = _step(pd.curve, h)
-    pd0 = compute_periods(pd.curve)
-    fd = _central(lambda s: _dlog_tau_fd(pd0, kernel.char, m, s),
-                  h, richardson)
+    fd = _central(pd, m, lambda moved, s: _dlog_tau_fd(pd, moved, kernel.char,
+                                                       m, s))
     return float(abs(fd - hamiltonian_closed(kernel, m)))
 
 
@@ -390,7 +364,7 @@ def schlesinger_rhs(points, lam0, residue_matrices, m, n):
     return out
 
 
-def schlesinger_residuals(sol, m, h=None, richardson=True, char_drift=0.0):
+def schlesinger_residuals(sol, m, char_drift=0.0):
     """Max-entry residuals of the deformation equations of every residue
     matrix under motion of branch point m.
 
@@ -402,17 +376,15 @@ def schlesinger_residuals(sol, m, h=None, richardson=True, char_drift=0.0):
     pd = _periods(sol)
     curve = pd.curve
     M = len(curve.points)
-    h = _step(curve, h)
     p0, q0 = kernel.char.arrays()
 
-    def residue_stack(s):
+    def residue_stack(moved, s):
         char = ThetaChar(tuple(p0 + char_drift * s), tuple(q0))
-        pds = compute_periods(curve.perturb(m, s))
-        moved = RHSolution(pds, None, sol.lambda0,
-                           kernel=KernelContext(pds, char))
-        return np.array([moved.residue(n) for n in range(M)])
+        msol = RHSolution(moved, None, sol.lambda0,
+                          kernel=KernelContext(moved, char))
+        return np.array([msol.residue(n) for n in range(M)])
 
-    fd = _central(residue_stack, h, richardson)
+    fd = _central(pd, m, residue_stack)
     base = [sol.residue(n) for n in range(M)]
     out = np.empty(M)
     for n in range(M):
@@ -421,36 +393,26 @@ def schlesinger_residuals(sol, m, h=None, richardson=True, char_drift=0.0):
     return out
 
 
-def schlesinger_check(sol, m, n, h=None, richardson=True, char_drift=0.0):
-    return float(schlesinger_residuals(sol, m, h, richardson,
-                                       char_drift)[n])
-
-
 # -- projective connection compatibility --------------------------------------
 
-def _connection_of(curve, char, m):
-    pd = compute_periods(curve)
-    return KernelContext(pd, char).projective_connection_at_branch_point(m)
-
-
-def compatibility_check(sol, m, n, h=None, richardson=True):
+def compatibility_check(sol, m, n):
     """Symmetry of the mixed branch-point derivatives of the projective
     connection values; returns the finite-difference defect."""
     if m == n:
         raise ValueError("compatibility compares two distinct points")
     kernel = _kernel(sol)
-    curve = _periods(sol).curve
-    h = _step(curve, h)
-    dn_rm = _central(
-        lambda s: _connection_of(curve.perturb(n, s), kernel.char, m),
-        h, richardson)
-    dm_rn = _central(
-        lambda s: _connection_of(curve.perturb(m, s), kernel.char, n),
-        h, richardson)
+    pd = _periods(sol)
+
+    def connection_at(k):
+        return lambda moved, s: KernelContext(
+            moved, kernel.char).projective_connection_at_branch_point(k)
+
+    dn_rm = _central(pd, n, connection_at(m))
+    dm_rn = _central(pd, m, connection_at(n))
     return float(abs(dn_rm - dm_rn))
 
 
-def f_factor_check(sol, m, h=None, richardson=True):
+def f_factor_check(sol, m):
     """Derivative of the log curve factor of tau, checked both ways.
 
     Returns the defects of the finite difference against one 24th of the
@@ -459,57 +421,11 @@ def f_factor_check(sol, m, h=None, richardson=True):
     """
     kernel = _kernel(sol)
     pd = _periods(sol)
-    h = _step(pd.curve, h)
-    pd0 = compute_periods(pd.curve)
-    fd = _central(
-        lambda s: _dlog_tau_fd(pd0, kernel.char, m, s, theta_part=False),
-        h, richardson)
+    fd = _central(pd, m, lambda moved, s: _dlog_tau_fd(
+        pd, moved, kernel.char, m, s, theta_part=False))
     via_connection = kernel.projective_connection_at_branch_point(m) / 24.0
     via_residue = -bergmann_pair_residue(kernel, m)
     return float(abs(fd - via_connection)), float(abs(fd - via_residue))
-
-
-# -- aggregate report ---------------------------------------------------------
-
-@dataclass
-class VariationalReport:
-    """Residuals of every deformation identity on one solution."""
-
-    rauch: np.ndarray            # per branch point
-    differentials: np.ndarray    # per branch point, at the probe point
-    tau_gradient: np.ndarray     # per branch point
-    schlesinger: np.ndarray      # per residue, moving the probe point
-    compatibility: np.ndarray    # per partner of the probe point
-    moving_index: int
-    probe: complex
-    tol_fd: float = TOL_FD
-
-    def passed(self):
-        worst = max(np.max(r) for r in (self.rauch, self.differentials,
-                                        self.tau_gradient, self.schlesinger,
-                                        self.compatibility))
-        return bool(worst < self.tol_fd)
-
-
-def variational_report(sol, h=None, moving=0, probe=None):
-    """Run every deformation check once; moving selects the branch point
-    whose motion drives the Schlesinger and compatibility columns."""
-    pd = _periods(sol)
-    M = len(pd.curve.points)
-    if probe is None:
-        probe = pd.curve.points[moving] + 1.37j * pd.curve.scale
-    return VariationalReport(
-        rauch=np.array([rauch_check(sol, m, h=h) for m in range(M)]),
-        differentials=np.array([
-            differential_variation_check(sol, m, probe, h=h)
-            for m in range(M)]),
-        tau_gradient=np.array([tau_gradient_check(sol, m, h=h)
-                               for m in range(M)]),
-        schlesinger=schlesinger_residuals(sol, moving, h=h),
-        compatibility=np.array([
-            compatibility_check(sol, moving, n, h=h)
-            for n in range(M) if n != moving]),
-        moving_index=moving, probe=complex(probe))
 
 
 def _periods(ctx):

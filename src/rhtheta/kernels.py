@@ -27,7 +27,8 @@ from .errors import (
 )
 from .geometry import split_polyline
 from .quadrature import _gl_nodes
-from .theta import ThetaChar, find_odd_nonsingular_char, theta, theta_derivs
+from .theta import (ThetaChar, find_odd_nonsingular_char, half_characteristics,
+                    theta, theta_derivs)
 
 
 def _sheet_sign(sheet):
@@ -50,10 +51,8 @@ def riemann_constant(periods, tol=1e-6):
                 for D in itertools.combinations(range(n_pts), g - 1)]
     scale = abs(theta(np.zeros(g), ctx))
     winners = []
-    halves = (0.0, 0.5)
-    for bits in itertools.product(halves, repeat=2 * g):
-        p = np.array(bits[:g])
-        q = np.array(bits[g:])
+    for ch in half_characteristics(g):
+        p, q = ch.arrays()
         K = B @ p + q
         worst = max(abs(theta(K + d, ctx)) for d in divisors)
         if worst < tol * scale:
@@ -339,5 +338,5 @@ class KernelContext:
             eta = side * (1.0 if n in T else -1.0)
             cross += eta / (lam_m - pn)
             prodp *= lam_m - pn
-        P = (lam_m ** np.arange(curve.genus)) @ pd.C
+        P = pd.numerators(lam_m)
         return 3.0 * cross - 24.0 * (P @ dd @ P) / prodp

@@ -62,6 +62,13 @@ _ENTRY_SKEWS = (0.0, 0.35, -0.35, 0.7)
 _CIRCLE_PHASE = 0.37
 
 
+def _circle_radius(points, m, factor=0.25):
+    """Radius of a circle around branch point m: factor times the distance
+    to the nearest other branch point."""
+    return factor * min(abs(points[m] - q)
+                        for i, q in enumerate(points) if i != m)
+
+
 def _circle_abel(periods, m, rho, routed):
     """Reference node of the circle of radius rho around branch point m, and
     the sheet-1 Abel values (g, N), up to lattice vectors, of nodes zs on it,
@@ -462,9 +469,7 @@ class RHSolution:
         if key in self._residue_cache:
             return self._residue_cache[key]
         p = self.curve.points[n]
-        dist = min(abs(p - q) for i, q in enumerate(self.curve.points)
-                   if i != n)
-        rho = radius_factor * dist
+        rho = _circle_radius(self.curve.points, n, radius_factor)
         f = self.circle_log_derivative(n, rho)
         try:
             cur = integrate_circle(lambda zs: f(zs) / (2j * np.pi), p, rho,

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rhtheta.cli as cli_mod
+import rhtheta.hyperelliptic as hyp_mod
+import rhtheta.isomonodromy as iso_mod
 from rhtheta.cli import main
 from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
 from rhtheta.isomonodromy import tau_closed_form
@@ -216,6 +220,26 @@ def test_verify_tolerance_override_controls_exit_code(tmp_path):
                if name == "rauch_sheet_sum")
 
 
+@pytest.mark.parametrize("genus, distinct", [(1, 18), (2, 26)])
+def test_verify_computes_each_curve_once(monkeypatch, genus, distinct):
+    # the base curve, its looser-tolerance twin for node_doubling, and the
+    # curve moved by each of four steps in each branch point, once each
+    calls = []
+
+    def counting(curve, tol=1e-12):
+        calls.append((tuple(curve.points), tol))
+        return compute_periods(curve, tol)
+
+    for mod in (cli_mod, hyp_mod, iso_mod):
+        monkeypatch.setattr(mod, "compute_periods", counting)
+    monkeypatch.setenv("RH_NUM_THREADS", "1")
+    assert main(["verify", "--curve", str(SAMPLES / f"curve_g{genus}.json"),
+                 "--char", str(SAMPLES / f"char_g{genus}.json"),
+                 "--suite", "all", "--output", os.devnull]) == 0
+    assert len(set(calls)) == distinct
+    assert len(calls) == distinct
+
+
 # -- configuration errors ----------------------------------------------------
 
 
@@ -231,6 +255,15 @@ def test_unknown_command_and_flags_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["verify", "--curve", CURVE, "--char", CHAR,
                  "--suite", "nonsense"]) == 2
+
+
+def test_tol_is_a_verify_option(capsys):
+    # only verify reads tolerances; elsewhere the flag is unknown
+    assert main(["periods", "--curve", CURVE,
+                 "--tol", "b_symmetry=1"]) == 2
+    assert main(["tau", "--curve", CURVE, "--char", CHAR,
+                 "--tol", "b_symmetry=1"]) == 2
+    capsys.readouterr()
 
 
 def test_config_validation_errors(tmp_path, capsys):

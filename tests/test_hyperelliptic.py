@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,26 @@ def test_perturb_preserves_layout():
     assert abs(moved.points[1] - (1.0 + 1e-5 + 2e-5j)) < 1e-15
     with pytest.raises(DegenerateCurve):
         curve.perturb(1, -1.0)   # collides with the point at 0
+
+
+def test_moved_periods_are_computed_once_and_shared():
+    # more threads than cores and a short switch interval: every caller of
+    # one key must get the one stored object, equal to a fresh computation
+    pd = compute_periods(HyperellipticCurve([0.0, 1.0, 2.0, 3.0]))
+    keys = [(m, s) for m in (0, 3) for s in (1e-5, -1e-5)] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(pd.moved, m, s) for m, s in keys]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (m, s), moved in zip(keys, got):
+        assert moved is pd.moved(m, s)
+        fresh = compute_periods(pd.curve.perturb(m, s))
+        assert np.array_equal(moved.B, fresh.B)
+        assert np.array_equal(moved.A, fresh.A)
 
 
 def test_validation_errors():
