@@ -5,7 +5,9 @@ Branch cuts are straight segments between paired branch points.  A path in
 the cut plane is a polyline; every transversal crossing of a cut flips the
 sheet of the square root carried along the path.  All routines here are
 deterministic functions of their inputs so that downstream period matrices
-and monodromy loops are reproducible bit for bit.
+and monodromy loops are reproducible bit for bit.  Crossing tests broadcast:
+one call tests every segment of a path against every cut, and every edge of
+a routing graph against every cut and clearance point.
 """
 
 from __future__ import annotations
@@ -21,38 +23,47 @@ CROSS_TOL = 1e-11
 MARGINAL = 1e-9
 
 
-def cross2(u: complex, v: complex) -> float:
-    """Scalar cross product of the plane vectors u and v."""
-    return (np.conj(u) * v).imag
+def cross2(u, v):
+    """Scalar cross product of the plane vectors u and v, broadcast over
+    arrays.  Real arithmetic rounds an array entry exactly like a scalar:
+    numpy's vectorized complex product fuses multiply and add."""
+    return u.real * v.imag - u.imag * v.real
+
+
+def crossings(z0, z1, a, b, tol=CROSS_TOL):
+    """Intersections of the segments [z0, z1] and [a, b], broadcast over
+    array arguments.
+
+    Returns (t, s, hit) with z0 + t*(z1-z0) = a + s*(b-a); hit is False
+    where the segments are disjoint, parallel or degenerate, and t, s are
+    meaningless there.
+    """
+    z0, z1, a, b = (np.asarray(v, dtype=complex) for v in (z0, z1, a, b))
+    d1, d2 = z1 - z0, b - a
+    scale = np.abs(d1) * np.abs(d2)
+    den = cross2(d1, d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -cross2(d2, z0 - a) / cross2(d2, d1)
+        s = cross2(d1, z0 - a) / den
+    hit = ((scale != 0.0) & ~(np.abs(den) < 1e-14 * scale)
+           & (-tol <= t) & (t <= 1 + tol) & (-tol <= s) & (s <= 1 + tol))
+    return t, s, hit
 
 
 def segment_crossing(z0, z1, a, b, tol=CROSS_TOL):
-    """Intersection of segments [z0,z1] and [a,b].
-
-    Returns (t, s) with z0 + t*(z1-z0) = a + s*(b-a), or None when the
-    segments are disjoint, parallel, or degenerate.
-    """
-    d1, d2 = z1 - z0, b - a
-    scale = abs(d1) * abs(d2)
-    if scale == 0.0:
-        return None
-    den = cross2(d1, d2)
-    if abs(den) < 1e-14 * scale:
-        return None
-    t = -cross2(d2, z0 - a) / cross2(d2, d1)
-    s = cross2(d1, z0 - a) / cross2(d1, d2)
-    if -tol <= t <= 1 + tol and -tol <= s <= 1 + tol:
-        return t, s
-    return None
+    """(t, s) of the intersection of two segments, or None (see
+    ``crossings``)."""
+    t, s, hit = crossings(z0, z1, a, b, tol)
+    return (t, s) if hit else None
 
 
 def point_segment_distance(p, a, b):
-    d = b - a
-    len2 = abs(d) ** 2
-    if len2 == 0.0:
-        return abs(p - a)
-    t = min(max((np.conj(d) * (p - a)).real / len2, 0.0), 1.0)
-    return abs(p - a - t * d)
+    """Distance from p to the segment [a, b], broadcast over arrays."""
+    d, e = b - a, p - a
+    len2 = np.abs(d) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip((d.real * e.real + d.imag * e.imag) / len2, 0.0, 1.0)
+    return np.where(len2 == 0.0, np.abs(e), np.abs(e - t * d))
 
 
 def route(z0, z1, cuts, margin, clear_points=()):
@@ -60,25 +71,11 @@ def route(z0, z1, cuts, margin, clear_points=()):
 
     Shortest path in a visibility graph whose nodes are the endpoints plus
     corner points fanned around every cut endpoint at radius ``margin``.
-    Entries of ``clear_points`` are either points, kept at 0.6*margin, or
-    (point, radius) pairs with their own clearance; edges passing closer
-    are rejected, which keeps routed legs away from branch points.
+    An edge is blocked when it crosses a cut or passes closer than
+    0.6*margin to one of ``clear_points`` other than its own ends, which
+    keeps routed legs away from branch points.  All node pairs are tested
+    in one broadcast: ``blocked[i, j]`` for the edge from node i to node j.
     """
-    clear = [c if isinstance(c, tuple) else (c, 0.6 * margin)
-             for c in clear_points]
-
-    def blocked(p, q):
-        for a, b in cuts:
-            if segment_crossing(p, q, a, b) is not None:
-                return True
-        for c, r in clear:
-            if (point_segment_distance(c, p, q) < r
-                    and abs(c - p) > 1e-13 and abs(c - q) > 1e-13):
-                return True
-        return False
-
-    if not blocked(z0, z1):
-        return [z0, z1]
     nodes = [z0, z1]
     for a, b in cuts:
         u = (b - a) / abs(b - a)
@@ -87,6 +84,17 @@ def route(z0, z1, cuts, margin, clear_points=()):
             nodes.append(end + margin * (out + n))
             nodes.append(end + margin * (out - n))
             nodes.append(end + margin * np.sqrt(2.0) * out)
+    zs = np.array(nodes, dtype=complex)
+    p, q = zs[:, None, None], zs[None, :, None]
+    ab = np.array(cuts, dtype=complex).reshape(-1, 2)
+    blocked = crossings(p, q, ab[:, 0], ab[:, 1])[2].any(axis=2)
+    c = np.asarray(clear_points, dtype=complex)
+    near = ((point_segment_distance(c, p, q) < 0.6 * margin)
+            & (np.abs(c - p) > 1e-13) & (np.abs(c - q) > 1e-13))
+    blocked |= near.any(axis=2)
+    if not blocked[0, 1]:
+        return [z0, z1]
+    length = np.abs(zs[None, :] - zs[:, None])
     m = len(nodes)
     dist = np.full(m, np.inf)
     prev = np.full(m, -1, dtype=int)
@@ -94,19 +102,16 @@ def route(z0, z1, cuts, margin, clear_points=()):
     done = np.zeros(m, dtype=bool)
     for _ in range(m):
         u_idx, best = -1, np.inf
-        for i in range(m):
-            if not done[i] and dist[i] < best - 1e-15:
-                best, u_idx = dist[i], i
+        for i, (d, fixed) in enumerate(zip(dist.tolist(), done.tolist())):
+            if not fixed and d < best - 1e-15:
+                best, u_idx = d, i
         if u_idx < 0 or u_idx == 1:
             break
         done[u_idx] = True
-        for v_idx in range(m):
-            if done[v_idx] or blocked(nodes[u_idx], nodes[v_idx]):
-                continue
-            nd = dist[u_idx] + abs(nodes[v_idx] - nodes[u_idx])
-            if nd < dist[v_idx] - 1e-12:
-                dist[v_idx] = nd
-                prev[v_idx] = u_idx
+        nd = dist[u_idx] + length[u_idx]
+        better = ~done & ~blocked[u_idx] & (nd < dist - 1e-12)
+        dist[better] = nd[better]
+        prev[better] = u_idx
     if not np.isfinite(dist[1]):
         raise RoutingFailure(
             f"no cut-avoiding path from {z0:.4g} to {z1:.4g}")
@@ -122,33 +127,29 @@ def split_polyline(cuts, vertices, closed=True, start_sign=1.0):
     Returns (pieces, events): pieces is a list of (z_start, z_end, sign)
     with sign in {+1,-1} flipping at every crossing; events records
     (cut_index, sign_before_crossing) in traversal order.  A closed loop
-    must return to its starting sheet.
+    must return to its starting sheet.  Every segment is tested against
+    every cut in one broadcast.
     """
+    verts = [complex(v) for v in vertices]
+    ends = verts[1:] + verts[:1] if closed else verts[1:]
+    z0, z1 = np.array(verts[:len(ends)]), np.array(ends)
+    ab = np.array(cuts, dtype=complex).reshape(-1, 2)
+    t, s, hit = crossings(z0[:, None], z1[:, None], ab[:, 0], ab[:, 1])
+    if np.any(hit & ((np.minimum(t, s) < MARGINAL)
+                     | (np.maximum(t, s) > 1 - MARGINAL))):
+        raise LoopConstructionFailed(
+            "path grazes a cut endpoint; needs different geometry")
     pieces = []
     events = []
     sign = start_sign
-    verts = [complex(v) for v in vertices]
-    if closed:
-        seg_iter = list(zip(verts, verts[1:] + verts[:1]))
-    else:
-        seg_iter = list(zip(verts, verts[1:]))
-    for z0, z1 in seg_iter:
-        hits = []
-        for idx, (a, b) in enumerate(cuts):
-            r = segment_crossing(z0, z1, a, b)
-            if r is not None:
-                if min(r) < MARGINAL or max(r) > 1 - MARGINAL:
-                    raise LoopConstructionFailed(
-                        "path grazes a cut endpoint; needs different geometry")
-                hits.append((r[0], idx))
-        hits.sort()
-        bounds = [0.0] + [t for t, _ in hits] + [1.0]
-        for i in range(len(bounds) - 1):
-            za = z0 + (z1 - z0) * bounds[i]
-            zb = z0 + (z1 - z0) * bounds[i + 1]
-            pieces.append((za, zb, sign))
-            if i < len(bounds) - 2:
-                events.append((hits[i][1], sign))
+    for i, (za, zb, row) in enumerate(zip(verts, ends, hit.tolist())):
+        hits = sorted((t[i, k], k) for k, crossed in enumerate(row) if crossed)
+        bounds = [0.0] + [tk for tk, _ in hits] + [1.0]
+        for j in range(len(bounds) - 1):
+            pieces.append((za + (zb - za) * bounds[j],
+                           za + (zb - za) * bounds[j + 1], sign))
+            if j < len(bounds) - 2:
+                events.append((hits[j][1], sign))
                 sign = -sign
     if closed and sign != start_sign:
         raise LoopConstructionFailed("loop does not close on its starting sheet")
@@ -161,19 +162,14 @@ def intersection_number(pieces_a, pieces_b):
     Crossings count only when both loops sit on the same sheet there; the
     sign is the orientation of the tangent frame.
     """
-    total = 0
-    for a0, a1, sa in pieces_a:
-        for b0, b1, sb in pieces_b:
-            if sa != sb:
-                continue
-            r = segment_crossing(a0, a1, b0, b1)
-            if r is None:
-                continue
-            if min(r) < MARGINAL or max(r) > 1 - MARGINAL:
-                raise LoopConstructionFailed(
-                    "marginal intersection between loops")
-            total += int(np.sign(cross2(a1 - a0, b1 - b0)))
-    return total
+    a0, a1, sa = (np.array(c)[:, None] for c in zip(*pieces_a))
+    b0, b1, sb = (np.array(c) for c in zip(*pieces_b))
+    t, s, hit = crossings(a0, a1, b0, b1)
+    hit &= sa == sb
+    if np.any(hit & ((np.minimum(t, s) < MARGINAL)
+                     | (np.maximum(t, s) > 1 - MARGINAL))):
+        raise LoopConstructionFailed("marginal intersection between loops")
+    return int(np.sign(cross2(a1 - a0, b1 - b0))[hit].sum())
 
 
 def pick_crossing_point(cuts, idx, delta, avoid=()):
@@ -181,19 +177,14 @@ def pick_crossing_point(cuts, idx, delta, avoid=()):
     clears every other cut and all previously used crossing points."""
     a, b = cuts[idx]
     n = 1j * (b - a) / abs(b - a)
+    others = np.array(cuts[:idx] + cuts[idx + 1:], dtype=complex).reshape(-1, 2)
     for frac in (0.5, 0.42, 0.58, 0.34, 0.66, 0.26, 0.74, 0.18, 0.82):
         x = a + (b - a) * frac
         p, q = x - delta * n, x + delta * n
-        ok = all(abs(x - t) > 2.5 * delta for t in avoid)
-        for j, cut in enumerate(cuts):
-            if not ok:
-                break
-            if j == idx:
-                continue
-            if (segment_crossing(p, q, *cut) is not None
-                    or point_segment_distance(x, *cut) < 2.5 * delta):
-                ok = False
-        if ok:
+        if (all(abs(x - t) > 2.5 * delta for t in avoid)
+                and not crossings(p, q, *others.T)[2].any()
+                and not np.any(point_segment_distance(x, *others.T)
+                               < 2.5 * delta)):
             return x
     raise LoopConstructionFailed(f"no clear crossing point on cut {idx}")
 

@@ -31,10 +31,12 @@ from .errors import (
     DegenerateCurve,
     LoopConstructionFailed,
     NotRiemannMatrix,
+    QuadratureFailure,
     RoutingFailure,
 )
 from .geometry import (
     cross2,
+    crossings,
     ellipse_loop,
     intersection_number,
     pick_crossing_point,
@@ -225,8 +227,8 @@ class PeriodData:
         cancel next to the branch point.  Past a foreign cut a hop goes on
         on sheet 2.
         """
-        p = self.curve.points[m]
-        d = np.asarray(zs, dtype=complex) - p
+        p, zs = self.curve.points[m], np.asarray(zs, dtype=complex)
+        d = zs - p
         cross = []      # line parameter of each hop's foreign-cut crossing
         for k, ((a, b), pair) in enumerate(zip(self.curve.cuts,
                                                self.curve.cut_index_pairs)):
@@ -235,11 +237,8 @@ class PeriodData:
                 own, half = k, 0.5 * (b - a)
                 um, up = (0.0, 2.0) if m == pair[1] else (-2.0, 0.0)
                 continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = cross2(b - a, p - a) / cross2(d, b - a)
-                s = cross2(d, p - a) / cross2(d, b - a)
-            cross.append(np.where((t >= 0) & (t <= 1) & (s >= 0) & (s <= 1),
-                                  t, np.inf))
+            t, _, hit = crossings(p, zs, a, b, tol=0.0)
+            cross.append(np.where(hit, t, np.inf))
         cross = np.stack(cross)[:, :, None]
 
         def sheet(t):
@@ -255,7 +254,13 @@ class PeriodData:
                     * (2.0 * t * d[:, None]))
 
         ends = sheet(np.ones(1))[:, 0]
-        return integrate_segment(f, 0.0, 1.0, tol=1e-12), ends
+        try:
+            return integrate_segment(f, 0.0, 1.0, tol=1e-12), ends
+        except QuadratureFailure as exc:
+            shown = [f"{z:.4g}" for z in zs[:3]] + ["..."] * (zs.size > 3)
+            raise QuadratureFailure(
+                f"Abel hop from branch point {m} ({p:.4g}) fails to converge "
+                f"on the way to {zs.size} point(s): {', '.join(shown)}") from exc
 
     def anchor_point(self, m):
         """Point just outside branch point m, collinear with its cut."""

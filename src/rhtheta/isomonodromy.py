@@ -402,10 +402,13 @@ def compatibility_check(sol, m, n):
         raise ValueError("compatibility compares two distinct points")
     kernel = _kernel(sol)
     pd = _periods(sol)
+    # a discrete half period, which a step this small cannot change: the
+    # base curve's subset characteristic serves every moved curve
+    subset = even_subset_characteristics(pd)[0]
 
     def connection_at(k):
         return lambda moved, s: KernelContext(
-            moved, kernel.char).projective_connection_at_branch_point(k)
+            moved, kernel.char).projective_connection_at_branch_point(k, subset)
 
     dn_rm = _central(pd, n, connection_at(m))
     dm_rn = _central(pd, m, connection_at(n))

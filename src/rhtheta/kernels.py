@@ -264,26 +264,32 @@ class KernelContext:
         """Track the half differential along sheet tagged pieces.
 
         Starts from the principal value at the first point and follows the
-        nearest root sample to sample, bisecting on large jumps.  A piece's
-        samples are evaluated in one call, bisection points one at a time.
+        nearest root sample to sample, bisecting on large jumps.  All samples
+        take one call per sheet, bisection points one each.
         Returns (start value, end value).
         """
         z0, _, s0 = pieces[0]
         start = np.sqrt(self.h_squared(z0, 1 if s0 > 0 else 2))
-        cur = start
-        for idx, (za, zb, s) in enumerate(pieces):
-            sheet = 1 if s > 0 else 2
-            n0 = max(4, int(np.ceil(abs(zb - za)
-                                    / (0.15 * self.periods.curve.min_separation))))
+        step = 0.15 * self.periods.curve.min_separation
+        samples = []
+        for za, zb, _ in pieces:
+            n0 = max(4, int(np.ceil(abs(zb - za) / step)))
             # midpoint nodes only: piece boundaries sit on cuts, where the
             # sheet-tagged square is on a knife edge and both roots are
             # equidistant from the tracked value
-            ts = (np.arange(n0) + 0.5) / n0
-            samples = za + (zb - za) * ts
-            if idx == len(pieces) - 1:
-                samples = np.append(samples, zb)
-            roots = np.sqrt(self.h_squared(samples, sheet))
-            stack = list(zip(samples[::-1], roots[::-1]))
+            samples.append(za + (zb - za) * ((np.arange(n0) + 0.5) / n0))
+        samples[-1] = np.append(samples[-1], pieces[-1][1])
+        sheets = [1 if s > 0 else 2 for _, _, s in pieces]
+        flat = np.concatenate(samples)
+        tag = np.repeat(sheets, [len(zs) for zs in samples])
+        roots = np.empty_like(flat)
+        for sheet in set(sheets):
+            roots[tag == sheet] = np.sqrt(self.h_squared(flat[tag == sheet],
+                                                         sheet))
+        cur, n = start, 0
+        for (za, _, _), sheet, zs in zip(pieces, sheets, samples):
+            stack = list(zip(zs[::-1], roots[n:n + len(zs)][::-1]))
+            n += len(zs)
             prev_z = za
             while stack:
                 z, val = stack.pop()

@@ -4,7 +4,9 @@ All period and residue integrals in this package run through here.  The
 core routine doubles the node count until two successive approximations
 agree; when doubling stalls (integrand with nearby singularities off the
 ends of a long segment) it bisects the segment and recurses, which restores
-geometric convergence.
+geometric convergence.  It takes a stack of segments as well as one, so a
+polyline costs one integrand call per node count and sheet, not one per
+piece; each segment still converges, and is bisected, on its own.
 """
 
 from __future__ import annotations
@@ -25,45 +27,67 @@ def _gl_nodes(n):
 
 
 def integrate_segment(f, z0, z1, tol=1e-12, max_depth=10, _depth=0):
-    """Integral of vector-valued f(lambda) along the segment [z0, z1].
+    """Integral of vector-valued f(lambda) along the segment [z0, z1], or
+    along each of the segments stacked in z0, z1 of shape (P,).
 
     f maps an array of points to an array whose last axis indexes the
-    points.  Doubles Gauss-Legendre size until converged, bisecting on
-    stall.
+    points; it is called once per Gauss-Legendre size, on the nodes of the
+    segments not yet converged.  Each segment doubles its size until two
+    agree; those that stall are bisected, the halves stacked in one call.
+    Stacked results carry a leading axis of length P.
     """
-    z0, z1 = complex(z0), complex(z1)
-    h = 0.5 * (z1 - z0)
-    mid = 0.5 * (z0 + z1)
-    prev = None
+    stacked = np.ndim(z0) > 0
+    z0, z1 = (z.astype(complex) for z in np.atleast_1d(z0, z1))
+    h, mid = 0.5 * (z1 - z0), 0.5 * (z0 + z1)
+    out, prev = [None] * len(z0), [None] * len(z0)
+    todo = list(range(len(z0)))
     for n in GL_SIZES:
+        if not todo:
+            break
         x, w = _gl_nodes(n)
-        vals = f(mid + h * x)
-        cur = h * np.tensordot(vals, w, axes=([-1], [0]))
-        if prev is not None:
-            err = np.max(np.abs(cur - prev))
-            scale = max(np.max(np.abs(cur)), 1.0)
-            if err <= tol * scale:
-                return cur
-        prev = cur
-    if _depth >= max_depth:
-        raise QuadratureFailure(
-            f"segment integral fails to converge near [{z0:.4g}, {z1:.4g}]")
-    left = integrate_segment(f, z0, mid, tol, max_depth, _depth + 1)
-    right = integrate_segment(f, mid, z1, tol, max_depth, _depth + 1)
-    return left + right
+        vals = f((mid[todo, None] + h[todo, None] * x).ravel())
+        lead = vals.shape[:-1]
+        # (segment, value, node): one product per segment, of the shape a
+        # lone segment has, as BLAS rounds a product with more rows apart
+        vals = np.moveaxis(vals.reshape(-1, len(todo), n), 1, 0).copy()
+        stalled = []
+        for j, k in enumerate(todo):
+            cur = h[k] * np.dot(vals[j], w[:, None]).reshape(lead)
+            if prev[k] is not None:
+                err = np.abs(cur - prev[k]).max()
+                scale = max(np.abs(cur).max(), 1.0)
+                if err <= tol * scale:
+                    out[k] = cur
+                    continue
+            prev[k] = cur
+            stalled.append(k)
+        todo = stalled
+    if todo:
+        if _depth >= max_depth:
+            raise QuadratureFailure("segment integral fails to converge near "
+                                    f"[{z0[todo[0]]:.4g}, {z1[todo[0]]:.4g}]")
+        halves = integrate_segment(f, np.append(z0[todo], mid[todo]),
+                                   np.append(mid[todo], z1[todo]),
+                                   tol, max_depth, _depth + 1)
+        for j, k in enumerate(todo):
+            out[k] = halves[j] + halves[len(todo) + j]
+    return np.stack(out) if stacked else out[0]
 
 
 def integrate_pieces(f, pieces, tol=1e-12):
     """Sum of signed segment integrals over sheet-tracked pieces.
 
     Each piece is (z_start, z_end, sign); f(points, sign) returns the
-    integrand sampled on the indicated sheet.
+    integrand sampled on the indicated sheet.  The pieces of one sheet are
+    integrated in one stacked call, and the parts added in piece order.
     """
-    total = None
-    for z0, z1, sign in pieces:
-        part = integrate_segment(lambda z: f(z, sign), z0, z1, tol=tol)
-        total = part if total is None else total + part
-    return total
+    parts = {}
+    for sign in dict.fromkeys(s for _, _, s in pieces):
+        idx = [k for k, piece in enumerate(pieces) if piece[2] == sign]
+        parts.update(zip(idx, integrate_segment(
+            lambda z: f(z, sign), [pieces[k][0] for k in idx],
+            [pieces[k][1] for k in idx], tol)))
+    return sum((parts[k] for k in range(1, len(pieces))), parts[0])
 
 
 def integrate_substituted(f, tol=1e-12):

@@ -1,8 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rhtheta.errors import LoopConstructionFailed, RoutingFailure
+import rhtheta.hyperelliptic as hyp_mod
+import rhtheta.kernels as ker_mod
+import rhtheta.quadrature as quad_mod
+import rhtheta.rh_solver as rh_mod
+from rhtheta.cli import main
+from rhtheta.errors import (LoopConstructionFailed, QuadratureFailure,
+                            RoutingFailure)
 from rhtheta.geometry import (
+    CROSS_TOL,
+    MARGINAL,
     cross2,
     intersection_number,
     pick_crossing_point,
@@ -11,7 +22,13 @@ from rhtheta.geometry import (
     segment_crossing,
     split_polyline,
 )
-from rhtheta.quadrature import integrate_circle, integrate_segment
+from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
+from rhtheta.quadrature import (GL_SIZES, _gl_nodes, integrate_circle,
+                                integrate_pieces, integrate_segment)
+from rhtheta.rh_solver import RHSolution
+from rhtheta.theta import ThetaChar
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def test_segment_crossing_basic():
@@ -115,3 +132,274 @@ def test_cross2_orientation():
     assert cross2(1, 1j) > 0
     assert cross2(1j, 1) < 0
     assert cross2(1 + 1j, 2 + 2j) == 0
+
+
+def test_stacked_segment_failure_names_its_piece_in_lambda():
+    # a jump at 2.3 never converges; of three stacked pieces the third
+    # fails, and the message brackets the jump in lambda
+    def f(z):
+        return np.where(z.real < 2.3, 1.0, 2.0) + 0j
+
+    with pytest.raises(QuadratureFailure) as info:
+        integrate_segment(f, np.array([0.0, 1.0, 2.0]),
+                          np.array([1.0, 2.0, 3.0]), max_depth=3)
+    msg = str(info.value)
+    lo, hi = (complex(v).real for v in msg[msg.index("[") + 1:-1].split(", "))
+    assert 2.0 <= lo < 2.3 < hi <= 3.0
+
+
+# -- scalar references of the path layer -------------------------------------
+#
+# Copies of the loops the array code replaced.  The array code must make the
+# same decisions and produce the same bits on every path of a solve and of
+# seeded random curves.
+
+def _ref_cross2(u, v):
+    return (np.conj(u) * v).imag
+
+
+def _ref_segment_crossing(z0, z1, a, b, tol=CROSS_TOL):
+    d1, d2 = z1 - z0, b - a
+    scale = abs(d1) * abs(d2)
+    if scale == 0.0:
+        return None
+    den = _ref_cross2(d1, d2)
+    if abs(den) < 1e-14 * scale:
+        return None
+    t = -_ref_cross2(d2, z0 - a) / _ref_cross2(d2, d1)
+    s = _ref_cross2(d1, z0 - a) / _ref_cross2(d1, d2)
+    if -tol <= t <= 1 + tol and -tol <= s <= 1 + tol:
+        return t, s
+    return None
+
+
+def _ref_point_segment_distance(p, a, b):
+    d = b - a
+    len2 = abs(d) ** 2
+    if len2 == 0.0:
+        return abs(p - a)
+    t = min(max((np.conj(d) * (p - a)).real / len2, 0.0), 1.0)
+    return abs(p - a - t * d)
+
+
+def _ref_route(z0, z1, cuts, margin, clear_points=()):
+    """One pure-Python ``blocked`` call per node pair."""
+    def blocked(p, q):
+        for a, b in cuts:
+            if _ref_segment_crossing(p, q, a, b) is not None:
+                return True
+        for c in clear_points:
+            if (_ref_point_segment_distance(c, p, q) < 0.6 * margin
+                    and abs(c - p) > 1e-13 and abs(c - q) > 1e-13):
+                return True
+        return False
+
+    if not blocked(z0, z1):
+        return [z0, z1]
+    nodes = [z0, z1]
+    for a, b in cuts:
+        u = (b - a) / abs(b - a)
+        n = 1j * u
+        for end, out in ((a, -u), (b, u)):
+            nodes.append(end + margin * (out + n))
+            nodes.append(end + margin * (out - n))
+            nodes.append(end + margin * np.sqrt(2.0) * out)
+    m = len(nodes)
+    dist = np.full(m, np.inf)
+    prev = np.full(m, -1, dtype=int)
+    dist[0] = 0.0
+    done = np.zeros(m, dtype=bool)
+    for _ in range(m):
+        u_idx, best = -1, np.inf
+        for i in range(m):
+            if not done[i] and dist[i] < best - 1e-15:
+                best, u_idx = dist[i], i
+        if u_idx < 0 or u_idx == 1:
+            break
+        done[u_idx] = True
+        for v_idx in range(m):
+            if done[v_idx] or blocked(nodes[u_idx], nodes[v_idx]):
+                continue
+            nd = dist[u_idx] + abs(nodes[v_idx] - nodes[u_idx])
+            if nd < dist[v_idx] - 1e-12:
+                dist[v_idx] = nd
+                prev[v_idx] = u_idx
+    if not np.isfinite(dist[1]):
+        raise RoutingFailure("no cut-avoiding path")
+    order = [1]
+    while order[-1] != 0:
+        order.append(prev[order[-1]])
+    return [nodes[i] for i in reversed(order)]
+
+
+def _ref_split_polyline(cuts, vertices, closed=True, start_sign=1.0):
+    """One scalar crossing test per segment and cut."""
+    pieces = []
+    events = []
+    sign = start_sign
+    verts = [complex(v) for v in vertices]
+    if closed:
+        seg_iter = list(zip(verts, verts[1:] + verts[:1]))
+    else:
+        seg_iter = list(zip(verts, verts[1:]))
+    for z0, z1 in seg_iter:
+        hits = []
+        for idx, (a, b) in enumerate(cuts):
+            r = _ref_segment_crossing(z0, z1, a, b)
+            if r is not None:
+                if min(r) < MARGINAL or max(r) > 1 - MARGINAL:
+                    raise LoopConstructionFailed("graze")
+                hits.append((r[0], idx))
+        hits.sort()
+        bounds = [0.0] + [t for t, _ in hits] + [1.0]
+        for i in range(len(bounds) - 1):
+            za = z0 + (z1 - z0) * bounds[i]
+            zb = z0 + (z1 - z0) * bounds[i + 1]
+            pieces.append((za, zb, sign))
+            if i < len(bounds) - 2:
+                events.append((hits[i][1], sign))
+                sign = -sign
+    if closed and sign != start_sign:
+        raise LoopConstructionFailed("open")
+    return pieces, events
+
+
+def _ref_segment(f, z0, z1, tol=1e-12, max_depth=10, _depth=0):
+    """One segment at a time, bisecting left then right."""
+    z0, z1 = complex(z0), complex(z1)
+    h = 0.5 * (z1 - z0)
+    mid = 0.5 * (z0 + z1)
+    prev = None
+    for n in GL_SIZES:
+        x, w = _gl_nodes(n)
+        cur = h * np.tensordot(f(mid + h * x), w, axes=([-1], [0]))
+        if prev is not None:
+            err = np.max(np.abs(cur - prev))
+            if err <= tol * max(np.max(np.abs(cur)), 1.0):
+                return cur
+        prev = cur
+    if _depth >= max_depth:
+        raise QuadratureFailure("stalled")
+    return (_ref_segment(f, z0, mid, tol, max_depth, _depth + 1)
+            + _ref_segment(f, mid, z1, tol, max_depth, _depth + 1))
+
+
+def _ref_pieces(f, pieces, tol=1e-12):
+    total = None
+    for z0, z1, sign in pieces:
+        part = _ref_segment(lambda z: f(z, sign), z0, z1, tol)
+        total = part if total is None else total + part
+    return total
+
+
+def _same_outcome(new, ref, *args, **kwargs):
+    """new(*args) equals ref(*args) exactly, or both raise the same type."""
+    try:
+        want = ref(*args, **kwargs)
+    except (RoutingFailure, LoopConstructionFailed) as exc:
+        with pytest.raises(type(exc)):
+            new(*args, **kwargs)
+        raise
+    got = new(*args, **kwargs)
+    return got, want
+
+
+def _compare_path_layer(monkeypatch):
+    """Patch route, split_polyline and integrate_pieces wherever the package
+    calls them with versions that check against the scalar references;
+    returns the list of checked calls by kind."""
+    seen = {"route": [], "split": [], "pieces": []}
+    route_, split_, pieces_ = hyp_mod.route, split_polyline, integrate_pieces
+
+    def routed(*args, **kwargs):
+        got, want = _same_outcome(route_, _ref_route, *args, **kwargs)
+        assert got == want
+        seen["route"].append(got)
+        return got
+
+    def split(*args, **kwargs):
+        got, want = _same_outcome(split_, _ref_split_polyline, *args, **kwargs)
+        assert got == want
+        seen["split"].append(got)
+        return got
+
+    def pieces(f, ps, tol=1e-12):
+        got, want = pieces_(f, ps, tol), _ref_pieces(f, ps, tol)
+        assert got.tobytes() == want.tobytes()
+        seen["pieces"].append(len(ps))
+        return got
+
+    monkeypatch.setattr(hyp_mod, "route", routed)
+    for mod in (hyp_mod, ker_mod, rh_mod):
+        monkeypatch.setattr(mod, "split_polyline", split)
+    for mod in (hyp_mod, rh_mod):
+        monkeypatch.setattr(mod, "integrate_pieces", pieces)
+    return seen
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_sample_solve_paths_match_scalar_reference(genus, monkeypatch):
+    # every route, split and piecewise integral of the solve report
+    seen = _compare_path_layer(monkeypatch)
+    assert main(["solve", "--curve", str(SAMPLES / f"curve_g{genus}.json"),
+                 "--char", str(SAMPLES / f"char_g{genus}.json"),
+                 "--output", os.devnull]) == 0
+    assert any(len(r) > 2 for r in seen["route"])
+    assert len(seen["split"]) > 20 and len(seen["pieces"]) > 20
+
+
+def _random_curve(rng, g):
+    """Branch points in [-2, 2]^2, 0.3 apart and 0.25 off the other cuts."""
+    while True:
+        pts = rng.uniform(-2, 2, 2 * g + 2) + 1j * rng.uniform(-2, 2, 2 * g + 2)
+        try:
+            curve = HyperellipticCurve(pts)
+        except hyp_mod.CrossingCuts:
+            continue
+        if curve.min_separation > 0.3 and all(
+                _ref_point_segment_distance(p, a, b) > 0.25
+                for p in curve.points for a, b in curve.cuts
+                if p != a and p != b):
+            return curve
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_random_curve_paths_match_scalar_reference(genus, monkeypatch):
+    # every route, split and piecewise integral of compute_periods, of the
+    # Abel map at every branch point and of all monodromy loops on a seeded
+    # random curve
+    rng = np.random.default_rng([7, genus])
+    curve = _random_curve(rng, genus)
+    seen = _compare_path_layer(monkeypatch)
+    pd = compute_periods(curve)
+    for m in range(len(curve.points)):
+        pd.abel(branch_index=m)
+    char = ThetaChar(tuple(rng.uniform(-0.2, 0.2, genus)),
+                     tuple(rng.uniform(-0.2, 0.2, genus)))
+    RHSolution(pd, char, 0.1 + 2.4j).monodromies()
+    assert len(seen["route"]) >= 2 * genus + len(curve.points)
+    assert any(len(r) > 2 for r in seen["route"])
+    assert len(seen["pieces"]) >= genus + len(curve.points)
+
+
+def test_stacked_pieces_bisect_beside_converged_ones(monkeypatch):
+    # one stacked call per sheet; the long piece past the pole bisects while
+    # its neighbours on the same sheet converge, bit for bit as one by one
+    pole = 0.5 + 1e-2j
+
+    def f(z, s):
+        return np.vstack([s / (z - pole), s * z ** 2])
+
+    ps = [(-50.0, 50.0, 1.0), (50.0, 50.0 + 1j, -1.0),
+          (50.0 + 1j, 40.0 + 1j, 1.0), (40.0 + 1j, 41.0 - 1j, -1.0)]
+    depths = []
+    segment = quad_mod.integrate_segment
+
+    def traced(f, z0, z1, tol=1e-12, max_depth=10, _depth=0):
+        depths.append((_depth, np.size(z0)))
+        return segment(f, z0, z1, tol, max_depth, _depth)
+
+    monkeypatch.setattr(quad_mod, "integrate_segment", traced)
+    got = integrate_pieces(f, ps)
+    assert got.tobytes() == _ref_pieces(f, ps).tobytes()
+    assert (0, 2) in depths and any(d > 0 for d, _ in depths)

@@ -4,7 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from rhtheta.errors import CrossingCuts, DegenerateCurve
+import rhtheta.hyperelliptic as hyp_mod
+from rhtheta.errors import CrossingCuts, DegenerateCurve, QuadratureFailure
 from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
 
 # Frozen reference values.  The elliptic module of a 4-point curve is
@@ -219,3 +220,22 @@ def test_random_stress_moderate():
             pd = compute_periods(_random_curve(rng, genus, min_sep=0.12))
             assert np.max(np.abs(pd.B - pd.B.T)) < 1e-10
             assert np.linalg.eigvalsh(pd.B.imag).min() > 0
+
+
+def test_hop_failure_names_branch_point_and_lambda_targets(monkeypatch):
+    # the hop integrates over t in [0, 1]; its failure is reported with the
+    # branch point and the lambda targets instead
+    pd = compute_periods(HyperellipticCurve([0.0, 1.0, 2.0, 3.0]))
+
+    def stalled(f, z0, z1, tol=1e-12, max_depth=10, _depth=0):
+        raise QuadratureFailure("segment integral fails to converge near "
+                                "[0, 1]")
+
+    monkeypatch.setattr(hyp_mod, "integrate_segment", stalled)
+    with pytest.raises(QuadratureFailure) as info:
+        pd._hop(2, [2.25 + 0.5j, 1.5 - 0.25j])
+    msg = str(info.value)
+    assert "branch point 2 (2+0j)" in msg
+    assert "2 point(s): 2.25+0.5j, 1.5-0.25j" in msg
+    assert "[0, 1]" not in msg
+    assert isinstance(info.value.__cause__, QuadratureFailure)

@@ -1,13 +1,21 @@
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import rhtheta.isomonodromy as iso
+import rhtheta.kernels as ker_mod
+from rhtheta.cli import main
 from rhtheta.errors import DegenerateCurve, StepTooLarge
-from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
-from rhtheta.kernels import KernelContext
+from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods, load_curve
+from rhtheta.kernels import KernelContext, even_subset_characteristics
 from rhtheta.quadrature import integrate_circle
 from rhtheta.rh_solver import _CIRCLE_PHASE, RHSolution
 from rhtheta.theta import ThetaChar
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +247,35 @@ def test_step_guard():
     pd = compute_periods(HyperellipticCurve([0.0, 1.0, 2.0, 2.0005]))
     with pytest.raises(StepTooLarge):
         iso.rauch_check(pd, 0)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_compatibility_scans_only_the_base_curve(genus, monkeypatch):
+    # each moved curve's own scan yields the base curve's subset
+    # characteristic, so the base scan serves all eight moved curves: the
+    # compat suite scans twice (this row and f_factor), not nine times
+    curve, _ = load_curve(SAMPLES / f"curve_g{genus}.json")
+    c = json.loads((SAMPLES / f"char_g{genus}.json").read_text())
+    pd = compute_periods(curve)
+    scans = []
+    scan = ker_mod.riemann_constant
+
+    def counted(periods, *args, **kwargs):
+        scans.append(periods)
+        return scan(periods, *args, **kwargs)
+
+    monkeypatch.setattr(ker_mod, "riemann_constant", counted)
+    iso.compatibility_check(KernelContext(pd, ThetaChar(tuple(c["p"]),
+                                                        tuple(c["q"]))),
+                            0, len(curve.points) - 1)
+    assert len(scans) == 1 and scans[0] is pd
+    base = even_subset_characteristics(pd)[0]
+    assert len(pd._moved) == 8
+    for moved in pd._moved.values():
+        assert even_subset_characteristics(moved)[0] == base
+    scans.clear()
+    monkeypatch.setenv("RH_NUM_THREADS", "1")
+    assert main(["verify", "--curve", str(SAMPLES / f"curve_g{genus}.json"),
+                 "--char", str(SAMPLES / f"char_g{genus}.json"),
+                 "--suite", "compat", "--output", os.devnull]) == 0
+    assert len(scans) == 2
