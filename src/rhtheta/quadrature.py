@@ -47,8 +47,8 @@ def integrate_segment(f, z0, z1, tol=1e-12, max_depth=10, _depth=0):
         x, w = _gl_nodes(n)
         vals = f((mid[todo, None] + h[todo, None] * x).ravel())
         lead = vals.shape[:-1]
-        # (segment, value, node): one product per segment, of the shape a
-        # lone segment has, as BLAS rounds a product with more rows apart
+        # (segment, value, node); one product per segment, shaped as for a
+        # lone segment: BLAS rounds a product with more rows differently
         vals = np.moveaxis(vals.reshape(-1, len(todo), n), 1, 0).copy()
         stalled = []
         for j, k in enumerate(todo):
