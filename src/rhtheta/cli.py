@@ -12,10 +12,9 @@ Subcommands map one to one onto the library layers:
 Complex numbers are written as ``[re, im]`` pairs everywhere; sampled
 solution grids can additionally be exported as CSV for plotting.  Reports
 are rendered with sorted keys and sorted check rows, so a rerun with the
-same inputs is byte identical.  The verification suite runs its checks in
-parallel (capped by the RH_NUM_THREADS environment variable); every check
-is a pure function of the inputs and all random draws happen before
-dispatch, so the residuals do not depend on scheduling.
+same inputs is byte identical.  The verification suite runs its checks
+one after another in the calling thread, drawing its random points in a
+fixed order from the seed.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+# nothing here calls it; the benchmark tracer rebinds this name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -95,25 +93,6 @@ PSI_COLUMNS = ("re_lambda", "im_lambda",
                "re_psi21", "im_psi21", "re_psi22", "im_psi22")
 
 
-@dataclass
-class RunConfig:
-    """One validated invocation: the command plus everything it reads."""
-
-    command: str
-    curve: str = None
-    char: str = None
-    input: str = None
-    lambda0: complex = None
-    n: int = None
-    suite: str = None
-    seed: int = 0
-    reference: str = None
-    output: str = None
-    csv: str = None
-    tolerances: dict = field(default_factory=dict)
-    threads: int = 1
-
-
 # -- input parsing ------------------------------------------------------------
 
 def _read_json(path, what):
@@ -153,7 +132,8 @@ def _parse_lambda0(text):
 
 
 def _parse_tolerances(items):
-    out = {}
+    """TOLERANCES with verify's --tol NAME=VALUE overrides applied."""
+    out = dict(TOLERANCES)
     for item in items or ():
         name, eq, value = item.partition("=")
         if not eq:
@@ -169,19 +149,6 @@ def _parse_tolerances(items):
             raise ConfigError(f"tolerance {name} must be positive, got {tol}")
         out[name] = tol
     return out
-
-
-def _thread_count():
-    env = os.environ.get("RH_NUM_THREADS")
-    if env is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        cap = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"RH_NUM_THREADS must be an integer, got {env!r}") from exc
-    if cap < 1:
-        raise ConfigError("RH_NUM_THREADS must be at least 1")
-    return cap
 
 
 # -- output -------------------------------------------------------------------
@@ -209,16 +176,16 @@ def _emit_error(exc):
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_periods(config):
-    curve, _ = load_curve(config.curve)
+def cmd_periods(args):
+    curve, _ = load_curve(args.curve)
     pd = compute_periods(curve)
     report = dict(period_data_to_dict(pd), conventions=CONVENTIONS)
-    _write_report(report, config.output)
+    _write_report(report, args.output)
     return 0
 
 
-def cmd_theta_eval(config):
-    data = _read_json(config.input, "theta input")
+def cmd_theta_eval(args):
+    data = _read_json(args.input, "theta input")
     try:
         B = np.array([[pair_to_complex(e) for e in row] for row in data["B"]])
         z = np.array([pair_to_complex(e) for e in data["z"]])
@@ -233,7 +200,7 @@ def cmd_theta_eval(config):
         "gradient": complex_to_lists(ev.grad),
         "lattice_radius": float(ev.radius),
     }
-    _write_report(report, config.output)
+    _write_report(report, args.output)
     return 0
 
 
@@ -264,11 +231,11 @@ def _psi_samples(sol, nx=6, ny=6):
     return rows
 
 
-def cmd_solve(config):
-    curve, lam0_file = load_curve(config.curve)
+def cmd_solve(args):
+    curve, lam0_file = load_curve(args.curve)
+    lam0 = _parse_lambda0(args.lambda0) if args.lambda0 else lam0_file
     pd = compute_periods(curve)
-    char = _load_char(config.char, pd.curve.genus)
-    lam0 = config.lambda0 if config.lambda0 is not None else lam0_file
+    char = _load_char(args.char, pd.curve.genus)
     if lam0 is None:
         raise ConfigError("no normalization point: pass --lambda0 "
                           "or store a basepoint in the curve file")
@@ -300,23 +267,23 @@ def cmd_solve(config):
         "psi_samples": {"columns": list(PSI_COLUMNS), "rows": samples},
         "conventions": CONVENTIONS,
     }
-    if config.csv:
-        _write_csv(samples, config.csv)
-    _write_report(report, config.output)
+    if args.csv:
+        _write_csv(samples, args.csv)
+    _write_report(report, args.output)
     return 0
 
 
-def cmd_monodromy(config):
-    curve, lam0 = load_curve(config.curve)
+def cmd_monodromy(args):
+    curve, lam0 = load_curve(args.curve)
     if lam0 is None:
         raise ConfigError("the curve file needs a basepoint to place "
                           "the monodromy loops")
     pd = compute_periods(curve)
-    char = _load_char(config.char, pd.curve.genus)
-    if not 0 <= config.n < len(pd.curve.points):
+    char = _load_char(args.char, pd.curve.genus)
+    if not 0 <= args.n < len(pd.curve.points):
         raise ConfigError(f"--n must be in [0, {len(pd.curve.points) - 1}]")
     sol = RHSolution(pd, char, lam0)
-    r = sol.monodromy(config.n)
+    r = sol.monodromy(args.n)
     report = {
         "index": r.index,
         "matrix": complex_to_lists(r.matrix),
@@ -335,18 +302,18 @@ def cmd_monodromy(config):
         ],
         "conventions": CONVENTIONS,
     }
-    _write_report(report, config.output)
+    _write_report(report, args.output)
     return 0
 
 
-def cmd_tau(config):
-    curve, _ = load_curve(config.curve)
+def cmd_tau(args):
+    curve, _ = load_curve(args.curve)
     pd = compute_periods(curve)
-    char = _load_char(config.char, pd.curve.genus)
+    char = _load_char(args.char, pd.curve.genus)
     # the phase records how far the continued fractional powers have
     # drifted from their principal values at the input configuration
-    if config.reference:
-        ref_curve, _ = load_curve(config.reference)
+    if args.reference:
+        ref_curve, _ = load_curve(args.reference)
         if len(ref_curve.points) != len(curve.points):
             raise ConfigError("reference configuration has a different "
                               "number of branch points")
@@ -362,12 +329,12 @@ def cmd_tau(config):
         "theta_factor": complex_to_lists(ev.theta_factor),
         "det_a": complex_to_lists(ev.det_a),
         "branch_reference": {
-            "path": config.reference,
+            "path": args.reference,
             "phase": complex_to_lists(phase),
         },
         "conventions": CONVENTIONS,
     }
-    _write_report(report, config.output)
+    _write_report(report, args.output)
     return 0
 
 
@@ -394,12 +361,12 @@ def _fay_points(rng, pts, scale, n):
             return xs, ys
 
 
-def _suite_checks(suite, pd, char, lam0, tols, seed):
-    """Assemble (name, params, tolerance, thunk) rows for one suite.
+def _suite_rows(suite, pd, char, lam0, tols, seed):
+    """Evaluate the checks of one suite into report rows, sorted by check
+    name and parameters.
 
-    All random draws happen here, before any parallel dispatch, and the
-    shared contexts are built up front, so the resulting report depends
-    only on the inputs.
+    The checks run in the order they are added and the random draws come
+    in a fixed order, so the report depends only on the inputs.
     """
     want = set(SUITES[:-1]) if suite == "all" else {suite}
     rng = np.random.default_rng(seed)
@@ -407,10 +374,12 @@ def _suite_checks(suite, pd, char, lam0, tols, seed):
     scale = pd.curve.scale
     M = len(pts)
     probe = complex(pts[0] + 1.37j * scale)
-    checks = []
+    rows = []
 
-    def add(name, params, thunk):
-        checks.append((name, params, tols[name], thunk))
+    def add(name, params, residual):
+        residual, tol = float(residual), tols[name]
+        rows.append({"check": name, "params": params, "residual": residual,
+                     "tolerance": float(tol), "pass": bool(residual < tol)})
 
     kc = None
     if want & {"fay", "rauch", "schlesinger", "tau", "compat"}:
@@ -423,113 +392,84 @@ def _suite_checks(suite, pd, char, lam0, tols, seed):
         sol = RHSolution(pd, char, lam0, kernel=kc)
 
     if "periods" in want:
-        add("b_symmetry", {},
-            lambda: float(np.max(np.abs(pd.B - pd.B.T))))
+        add("b_symmetry", {}, np.max(np.abs(pd.B - pd.B.T)))
         add("b_imag_definite", {},
-            lambda: max(0.0, -float(np.linalg.eigvalsh(pd.B.imag).min())))
+            max(0.0, -float(np.linalg.eigvalsh(pd.B.imag).min())))
         # a looser quadrature target stops one doubling earlier, so the
         # difference is what the final node doublings still moved B by
         add("node_doubling", {},
-            lambda: float(np.max(np.abs(
-                compute_periods(pd.curve, tol=1e-11).B - pd.B))))
+            np.max(np.abs(compute_periods(pd.curve, tol=1e-11).B - pd.B)))
 
     if "fay" in want:
         for n in (2, 3):
             for draw in range(2):
                 xs, ys = _fay_points(rng, pts, scale, n)
                 add("fay_identity", {"n": n, "draw": draw},
-                    lambda xs=xs, ys=ys: float(kc.fay_residual(xs, ys)))
+                    kc.fay_residual(xs, ys))
         dd = kc.log_hess_char_at_zero()
         for draw in range(2):
             P = _random_surface_point(rng, pts, scale)
             Q = _random_surface_point(rng, pts, scale)
             while abs(P[0] - Q[0]) < 0.1 * scale:
                 Q = _random_surface_point(rng, pts, scale)
-
-            def szb(P=P, Q=Q):
-                lhs = kc.szego(P, Q) * kc.szego(Q, P)
-                vP = pd.differentials(P[0], 1.0 if P[1] == 1 else -1.0)[:, 0]
-                vQ = pd.differentials(Q[0], 1.0 if Q[1] == 1 else -1.0)[:, 0]
-                rhs = -kc.bergmann(P, Q) - vP @ dd @ vQ
-                return float(abs(lhs - rhs) / max(1.0, abs(lhs)))
-
-            add("szego_bergmann", {"draw": draw}, szb)
+            lhs = kc.szego(P, Q) * kc.szego(Q, P)
+            vP = pd.differentials(P[0], 1.0 if P[1] == 1 else -1.0)[:, 0]
+            vQ = pd.differentials(Q[0], 1.0 if Q[1] == 1 else -1.0)[:, 0]
+            rhs = -kc.bergmann(P, Q) - vP @ dd @ vQ
+            add("szego_bergmann", {"draw": draw},
+                abs(lhs - rhs) / max(1.0, abs(lhs)))
 
     if "rauch" in want:
         for m in range(M):
-            add("rauch_fd", {"m": m},
-                lambda m=m: float(rauch_check(pd, m)))
-            add("rauch_sheet_sum", {"m": m},
-                lambda m=m: float(np.max(np.abs(
-                    b_derivative(pd, m) - b_derivative_sheet_sum(pd, m)))))
+            add("rauch_fd", {"m": m}, rauch_check(pd, m))
+            add("rauch_sheet_sum", {"m": m}, np.max(np.abs(
+                b_derivative(pd, m) - b_derivative_sheet_sum(pd, m))))
         add("differential_variation",
             {"m": 0, "at": complex_to_lists(probe)},
-            lambda: float(differential_variation_check(kc, 0, probe)))
+            differential_variation_check(kc, 0, probe))
         add("sheet_sum", {"at": complex_to_lists(probe)},
-            lambda: float(sheet_sum_defect(pd, probe)))
+            sheet_sum_defect(pd, probe))
 
     if "schlesinger" in want:
         for m in (0, M - 1):
             add("schlesinger_fd", {"moving": m},
-                lambda m=m: float(np.max(schlesinger_residuals(sol, m))))
+                np.max(schlesinger_residuals(sol, m)))
 
     if "tau" in want:
         for m in range(M):
-            add("tau_gradient", {"m": m},
-                lambda m=m: float(tau_gradient_check(sol, m)))
-        add("hamiltonian_match", {},
-            lambda: float(hamiltonians(sol).discrepancy))
+            add("tau_gradient", {"m": m}, tau_gradient_check(sol, m))
+        add("hamiltonian_match", {}, hamiltonians(sol).discrepancy)
         add("hamiltonian_sum", {},
-            lambda: float(abs(sum(hamiltonian_closed(kc, m)
-                                  for m in range(M)))))
-        add("thomae", {},
-            lambda: float(np.max(np.abs(np.abs(thomae_ratios(pd)) - 1.0))))
+            abs(sum(hamiltonian_closed(kc, m) for m in range(M))))
+        add("thomae", {}, np.max(np.abs(np.abs(thomae_ratios(pd)) - 1.0)))
         add("w1_sheet_sum", {"at": complex_to_lists(probe)},
-            lambda: float(abs(w1_sheet_sum(kc, probe))))
+            abs(w1_sheet_sum(kc, probe)))
 
     if "compat" in want:
         add("compatibility", {"m": 0, "n": M - 1},
-            lambda: float(compatibility_check(kc, 0, M - 1)))
-        add("f_factor", {"m": 0},
-            lambda: float(max(f_factor_check(kc, 0))))
+            compatibility_check(kc, 0, M - 1))
+        add("f_factor", {"m": 0}, max(f_factor_check(kc, 0)))
 
-    return checks
-
-
-def _run_checks(checks, threads):
-    def run_one(check):
-        name, params, tol, thunk = check
-        residual = float(thunk())
-        return {"check": name, "params": params, "residual": residual,
-                "tolerance": float(tol), "pass": bool(residual < tol)}
-
-    if threads > 1 and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, checks))
-    else:
-        rows = [run_one(c) for c in checks]
     rows.sort(key=lambda r: (r["check"], json.dumps(r["params"],
                                                     sort_keys=True)))
     return rows
 
 
-def cmd_verify(config):
-    curve, lam0 = load_curve(config.curve)
+def cmd_verify(args):
+    tols = _parse_tolerances(args.tol)
+    curve, lam0 = load_curve(args.curve)
     pd = compute_periods(curve)
-    char = _load_char(config.char, pd.curve.genus)
-    tols = dict(TOLERANCES)
-    tols.update(config.tolerances)
-    checks = _suite_checks(config.suite, pd, char, lam0, tols, config.seed)
-    rows = _run_checks(checks, config.threads)
+    char = _load_char(args.char, pd.curve.genus)
+    rows = _suite_rows(args.suite, pd, char, lam0, tols, args.seed)
     passed = all(r["pass"] for r in rows)
     report = {
-        "suite": config.suite,
-        "seed": config.seed,
+        "suite": args.suite,
+        "seed": args.seed,
         "passed": passed,
         "checks": rows,
         "conventions": CONVENTIONS,
     }
-    _write_report(report, config.output)
+    _write_report(report, args.output)
     return 0 if passed else 1
 
 
@@ -602,33 +542,13 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args):
-    return RunConfig(
-        command=args.command,
-        curve=getattr(args, "curve", None),
-        char=getattr(args, "char", None),
-        input=getattr(args, "input", None),
-        lambda0=(_parse_lambda0(args.lambda0)
-                 if getattr(args, "lambda0", None) else None),
-        n=getattr(args, "n", None),
-        suite=getattr(args, "suite", None),
-        seed=getattr(args, "seed", 0),
-        reference=getattr(args, "reference", None),
-        output=args.output,
-        csv=getattr(args, "csv", None),
-        tolerances=_parse_tolerances(getattr(args, "tol", None)),
-        threads=_thread_count(),
-    )
-
-
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return COMMANDS[config.command](config)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         _emit_error(exc)
         return 2

@@ -52,6 +52,18 @@ from .theta import ThetaContext
 # of the minimal branch-point separation.  Each failure rebuilds the whole
 # loop family with fresh clearances so loop pairs stay transversal.
 _LOOP_LADDER = ((0.05, 1.0), (0.043, 0.71), (0.058, 1.31), (0.037, 0.89))
+# Phase of the reference node on a circle around a branch point, so no node
+# starts on a cut line.  The node of radius _circle_radius is where Abel
+# values at branch points are hopped from; residue circles and the circle
+# integrals of the deformation checks use the same rule.
+_CIRCLE_PHASE = 0.37
+
+
+def _circle_radius(points, m, factor=0.25):
+    """Radius of a circle around branch point m: factor times the distance
+    to the nearest other branch point."""
+    return factor * min(abs(points[m] - q)
+                        for i, q in enumerate(points) if i != m)
 
 
 def _sort_key(z):
@@ -174,9 +186,11 @@ class PeriodData:
     b_loops: list
     b_pieces: list
     gram: np.ndarray
-    _anchor_cache: dict = field(default_factory=dict, repr=False)
+    _anchor: tuple = field(default=None, repr=False)
     _theta_context: ThetaContext = field(default=None, repr=False)
     _moved: dict = field(default_factory=dict, repr=False)
+    # kept by kernels.even_subset_characteristics
+    _even_subsets: tuple = field(default=None, repr=False)
 
     @property
     def theta_context(self):
@@ -262,15 +276,14 @@ class PeriodData:
                 f"Abel hop from branch point {m} ({p:.4g}) fails to converge "
                 f"on the way to {zs.size} point(s): {', '.join(shown)}") from exc
 
-    def anchor_point(self, m):
-        """Point just outside branch point m, collinear with its cut."""
-        if m in self._anchor_cache:
-            return self._anchor_cache[m][0]
-        p = self.curve.points[m]
-        for i, j in self.curve.cut_index_pairs:
-            if m in (i, j):
-                other = self.curve.points[j if m == i else i]
-                break
+    def anchor_point(self):
+        """Start of every ``abel`` route: a point just outside branch point 0,
+        collinear with its cut, and its Abel value, computed on first use."""
+        if self._anchor is not None:
+            return self._anchor
+        p = self.curve.points[0]
+        i, j = next(pair for pair in self.curve.cut_index_pairs if 0 in pair)
+        other = self.curve.points[j if i == 0 else i]
         u = (p - other) / abs(p - other)
         r = 0.35 * self.curve.min_separation
         for _ in range(8):
@@ -286,10 +299,10 @@ class PeriodData:
                 break
             r *= 0.5
         else:
-            raise LoopConstructionFailed(f"no clear anchor at branch point {m}")
-        dU, _ = self._hop(m, [z])
-        self._anchor_cache[m] = (z, dU[:, 0])
-        return z
+            raise LoopConstructionFailed("no clear anchor at branch point 0")
+        dU, _ = self._hop(0, [z])
+        self._anchor = (z, dU[:, 0])
+        return self._anchor
 
     def sheet1_route(self, z0, z1):
         """Cut-avoiding polyline between two plain points, with clearance
@@ -304,31 +317,23 @@ class PeriodData:
                 last = exc
         raise last
 
-    def abel_at_anchor(self, m):
-        """Abel map at the anchor of branch point m, on sheet 1."""
-        self.anchor_point(m)
-        if m == 0:
-            return self._anchor_cache[0][1]
-        z0 = self.anchor_point(0)
-        zm = self._anchor_cache[m][0]
-        path = self.sheet1_route(z0, zm)
-        dU, end_sign = self.continue_abel(path, closed=False)
-        if end_sign != 1.0:
-            raise LoopConstructionFailed("anchor route crossed a cut")
-        return self._anchor_cache[0][1] + dU
-
     def abel(self, lam=None, sheet=1, branch_index=None):
         """Abel map of a surface point, based at the first branch point.
 
         Interior points are reached on sheet 1 by a cut-avoiding route; the
         sheet-2 value is the exact negative (the hyperelliptic involution
-        fixes the basepoint).  branch_index selects a branch point target.
+        fixes the basepoint).  branch_index selects a branch point target,
+        reached by a straight hop back from the reference node of its
+        residue circle, which lies outside every route clearance; the value
+        agrees with any other route up to a lattice vector.
         """
         if branch_index is not None:
             m = int(branch_index)
-            return self.abel_at_anchor(m) - self._anchor_cache[m][1]
-        z0 = self.anchor_point(0)
-        base = self._anchor_cache[0][1]
+            z = self.curve.points[m] + (_circle_radius(self.curve.points, m)
+                                        * np.exp(1j * _CIRCLE_PHASE))
+            dU, sign = self._hop(m, [z])
+            return sign[0] * self.abel(z) - dU[:, 0]
+        z0, base = self.anchor_point()
         path = self.sheet1_route(z0, complex(lam))
         dU, end_sign = self.continue_abel(path, closed=False)
         if end_sign != 1.0:
@@ -432,7 +437,13 @@ def _a_periods(curve, tol=1e-12):
             pw = np.vstack([lam ** be for be in range(g)])
             return 2j * pw / other
 
-        A[k] = integrate_substituted(f, tol=tol)
+        try:
+            A[k] = integrate_substituted(f, tol=tol)
+        except QuadratureFailure as exc:
+            i, j = curve.cut_index_pairs[k]
+            raise QuadratureFailure(
+                f"a period of cut {k}, from branch point {i} ({a:.4g}) to "
+                f"{j} ({b:.4g}), fails to converge") from exc
     return A
 
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurve, StepTooLarge
-from .hyperelliptic import compute_periods
+from .hyperelliptic import _CIRCLE_PHASE, _circle_radius, compute_periods
 from .kernels import KernelContext, even_subset_characteristics
 from .quadrature import integrate_circle
-from .rh_solver import _CIRCLE_PHASE, RHSolution, _circle_abel, _circle_radius
+from .rh_solver import RHSolution, _circle_abel
 from .theta import ThetaChar, theta, theta_derivs
 
 _FD_FACTOR = 1e-5

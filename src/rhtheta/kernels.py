@@ -31,11 +31,17 @@ from .theta import (ThetaChar, find_odd_nonsingular_char, half_characteristics,
                     theta, theta_derivs)
 
 
+# Gates of the Riemann-constant scan, relative to the theta scale, and of
+# the subset half characteristics, absolute.
+_SCAN_TOL = 1e-6
+_SUBSET_TOL = 1e-8
+
+
 def _sheet_sign(sheet):
     return 1.0 if sheet == 1 else -1.0
 
 
-def riemann_constant(periods, tol=1e-6):
+def riemann_constant(periods):
     """Vector of Riemann constants for the Abel map based at the first
     branch point.
 
@@ -55,7 +61,7 @@ def riemann_constant(periods, tol=1e-6):
         p, q = ch.arrays()
         K = B @ p + q
         worst = max(abs(theta(K + d, ctx)) for d in divisors)
-        if worst < tol * scale:
+        if worst < _SCAN_TOL * scale:
             winners.append((K, worst))
     if len(winners) != 1:
         raise RelationViolated(
@@ -63,15 +69,19 @@ def riemann_constant(periods, tol=1e-6):
     return winners[0][0]
 
 
-def even_subset_characteristics(periods, tol=1e-8):
+def even_subset_characteristics(periods):
     """Half characteristics of branch point subsets of size g+1 through the
     basepoint.
 
     Each subset T (taken with the Riemann constant) solves
     B p + q = sum_{m in T} U(m) - K for half-integer p, q; the resulting
     characteristics are even and their theta constants nonzero.  Returns
-    [(T, char), ...] in lexicographic subset order.
+    ((T, char), ...) in lexicographic subset order, computed on first use
+    and kept on the period data, so a curve pays for one Riemann-constant
+    scan.
     """
+    if periods._even_subsets is not None:
+        return periods._even_subsets
     g = periods.curve.genus
     B = periods.B
     K = riemann_constant(periods)
@@ -85,17 +95,18 @@ def even_subset_characteristics(periods, tol=1e-8):
         p = 0.5 * np.rint(2.0 * np.linalg.solve(B.imag, z.imag))
         q = 0.5 * np.rint(2.0 * (z - B @ p).real)
         res = z - (B @ p + q)
-        if np.max(np.abs(res)) > tol:
+        if np.max(np.abs(res)) > _SUBSET_TOL:
             raise RelationViolated(
                 f"subset {T} does not give a half characteristic "
                 f"(residual {np.max(np.abs(res)):.2e})")
         ch = ThetaChar.from_arrays(np.mod(p, 1.0), np.mod(q, 1.0))
         if ch.parity() != 1:
             raise RelationViolated(f"subset {T} characteristic is odd")
-        if abs(theta(np.zeros(g), periods.theta_context, ch)) < tol:
+        if abs(theta(np.zeros(g), periods.theta_context, ch)) < _SUBSET_TOL:
             raise RelationViolated(f"subset {T} theta constant vanishes")
         out.append((T, ch))
-    return out
+    periods._even_subsets = tuple(out)
+    return periods._even_subsets
 
 
 def sampled_path_integral(periods, vertices, f, closed=False, order=24):

@@ -39,6 +39,7 @@ from .errors import (InconsistentLayout, LatticeExtractionFailed,
                      LoopConstructionFailed, QuadratureFailure, RoutingFailure,
                      SingularPoint)
 from .geometry import point_segment_distance, split_polyline
+from .hyperelliptic import _CIRCLE_PHASE, _circle_radius
 from .kernels import KernelContext
 from .quadrature import integrate_circle, integrate_pieces
 # theta itself is not called here; the benchmark tracer patches every
@@ -57,16 +58,6 @@ _SPUR_WIDENINGS = (1.0, 1.25, 0.8, 0.65)
 # fan-correct side of every other point; nonzero fallbacks only move a
 # chord that grazes a cut, and the splice side stays order-controlled.
 _ENTRY_SKEWS = (0.0, 0.35, -0.35, 0.7)
-# Phase offset of residue-circle nodes, so no node starts on a cut line;
-# the circle integrals of the deformation checks use it too.
-_CIRCLE_PHASE = 0.37
-
-
-def _circle_radius(points, m, factor=0.25):
-    """Radius of a circle around branch point m: factor times the distance
-    to the nearest other branch point."""
-    return factor * min(abs(points[m] - q)
-                        for i, q in enumerate(points) if i != m)
 
 
 def _circle_abel(periods, m, rho, routed):

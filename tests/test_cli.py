@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 import rhtheta.cli as cli_mod
 import rhtheta.hyperelliptic as hyp_mod
 import rhtheta.isomonodromy as iso_mod
+import rhtheta.kernels as ker_mod
 from rhtheta.cli import main
 from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
 from rhtheta.isomonodromy import tau_closed_form
+from rhtheta.kernels import riemann_constant
 from rhtheta.rh_solver import RHSolution
 from rhtheta.theta import ThetaChar, theta_derivs
 
@@ -168,30 +171,13 @@ def test_verify_suites_pass(tmp_path, suite):
         assert c["residual"] < c["tolerance"]
 
 
-def test_verify_reports_are_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.setenv("RH_NUM_THREADS", "1")
+def test_verify_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
         assert main(["verify", "--curve", CURVE, "--char", CHAR,
                      "--suite", "fay", "--seed", "3",
                      "--output", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_verify_thread_count_does_not_move_residuals(tmp_path, monkeypatch):
-    results = {}
-    for threads in ("1", "3"):
-        monkeypatch.setenv("RH_NUM_THREADS", threads)
-        out = tmp_path / f"report_{threads}.json"
-        assert main(["verify", "--curve", CURVE, "--char", CHAR,
-                     "--suite", "rauch", "--output", str(out)]) == 0
-        results[threads] = {
-            (c["check"], json.dumps(c["params"], sort_keys=True)):
-                c["residual"]
-            for c in read(out)["checks"]}
-    assert results["1"].keys() == results["3"].keys()
-    for key, residual in results["1"].items():
-        assert abs(residual - results["3"][key]) < 1e-12
 
 
 def test_verify_seed_is_recorded_and_respected(tmp_path):
@@ -223,21 +209,28 @@ def test_verify_tolerance_override_controls_exit_code(tmp_path):
 @pytest.mark.parametrize("genus, distinct", [(1, 18), (2, 26)])
 def test_verify_computes_each_curve_once(monkeypatch, genus, distinct):
     # the base curve, its looser-tolerance twin for node_doubling, and the
-    # curve moved by each of four steps in each branch point, once each
-    calls = []
+    # curve moved by each of four steps in each branch point, once each;
+    # the thomae, compatibility and f_factor rows share one Riemann-constant
+    # scan of the base curve
+    calls, scans = [], []
 
     def counting(curve, tol=1e-12):
         calls.append((tuple(curve.points), tol))
         return compute_periods(curve, tol)
 
+    def scanning(periods):
+        scans.append(periods)
+        return riemann_constant(periods)
+
     for mod in (cli_mod, hyp_mod, iso_mod):
         monkeypatch.setattr(mod, "compute_periods", counting)
-    monkeypatch.setenv("RH_NUM_THREADS", "1")
+    monkeypatch.setattr(ker_mod, "riemann_constant", scanning)
     assert main(["verify", "--curve", str(SAMPLES / f"curve_g{genus}.json"),
                  "--char", str(SAMPLES / f"char_g{genus}.json"),
                  "--suite", "all", "--output", os.devnull]) == 0
     assert len(set(calls)) == distinct
     assert len(calls) == distinct
+    assert [tuple(pd.curve.points) for pd in scans] == [calls[0][0]]
 
 
 # -- configuration errors ----------------------------------------------------
@@ -280,14 +273,6 @@ def test_config_validation_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bad_thread_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("RH_NUM_THREADS", "zero")
-    assert main(["periods", "--curve", CURVE]) == 2
-    monkeypatch.setenv("RH_NUM_THREADS", "0")
-    assert main(["periods", "--curve", CURVE]) == 2
-    capsys.readouterr()
-
-
 def test_module_errors_exit_3_with_code(tmp_path, capsys):
     degen = tmp_path / "degen.json"
     degen.write_text(json.dumps(
@@ -310,3 +295,27 @@ def test_basepoint_on_branch_point_rejected(tmp_path, capsys):
     assert main(["monodromy", "--curve", str(curve), "--char", CHAR,
                  "--n", "0"]) == 2
     capsys.readouterr()
+
+
+# -- execution ---------------------------------------------------------------
+
+
+def test_commands_run_in_the_calling_thread(tmp_path, monkeypatch):
+    # a thread-count variable in the environment changes nothing: no
+    # command starts a thread
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    theta_in = tmp_path / "theta.json"
+    theta_in.write_text(json.dumps({"z": [[0.1, 0.05]],
+                                    "B": [[[0.0, 1.2792615711710182]]]}))
+    monkeypatch.setenv("RH_NUM_THREADS", "4")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    curve = ["--curve", CURVE]
+    for argv in (["periods"] + curve,
+                 ["theta-eval", "--input", str(theta_in)],
+                 ["solve"] + curve + ["--char", CHAR],
+                 ["monodromy"] + curve + ["--char", CHAR, "--n", "0"],
+                 ["tau"] + curve + ["--char", CHAR],
+                 ["verify"] + curve + ["--char", CHAR, "--suite", "all"]):
+        assert main(argv + ["--output", os.devnull]) == 0, argv[0]

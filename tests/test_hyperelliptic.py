@@ -114,10 +114,9 @@ def test_abel_crossing_path_matches_involution():
     # continue U along a path that crosses one cut; the endpoint value must
     # agree with -U(lambda) up to a lattice vector
     pd = compute_periods(HyperellipticCurve([0.0, 1.0, 2.0, 3.0]))
-    start = pd.anchor_point(0)
+    start, U0 = pd.anchor_point()
     target = 0.5 - 0.8j
     path = [start, 0.5 + 0.8j, target]
-    U0 = pd.abel_at_anchor(0)
     dU, end_sign = pd.continue_abel(path, closed=False)
     assert end_sign == -1.0
     _, _, res = pd.lattice_decompose((U0 + dU) - (-pd.abel(target, sheet=1)))
@@ -238,4 +237,20 @@ def test_hop_failure_names_branch_point_and_lambda_targets(monkeypatch):
     assert "branch point 2 (2+0j)" in msg
     assert "2 point(s): 2.25+0.5j, 1.5-0.25j" in msg
     assert "[0, 1]" not in msg
+    assert isinstance(info.value.__cause__, QuadratureFailure)
+
+
+def test_a_period_failure_names_cut_and_branch_points(monkeypatch):
+    # the a periods integrate over t in [-pi/2, pi/2]; a failure is reported
+    # with the cut and its branch points in lambda instead
+    def stalled(f, tol=1e-12):
+        raise QuadratureFailure("segment integral fails to converge near "
+                                "[-1.571, 1.571]")
+
+    monkeypatch.setattr(hyp_mod, "integrate_substituted", stalled)
+    with pytest.raises(QuadratureFailure) as info:
+        compute_periods(HyperellipticCurve([0.0, 1.0, 2.0, 3.0]))
+    msg = str(info.value)
+    assert "cut 0, from branch point 0 (0+0j) to 1 (1+0j)" in msg
+    assert "1.571" not in msg
     assert isinstance(info.value.__cause__, QuadratureFailure)

@@ -9,10 +9,11 @@ from rhtheta.cli import _psi_samples
 from rhtheta.errors import (InconsistentLayout, LatticeExtractionFailed,
                             SingularPoint)
 from rhtheta.geometry import split_polyline
-from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods, load_curve
+from rhtheta.hyperelliptic import (_CIRCLE_PHASE, HyperellipticCurve,
+                                   compute_periods, load_curve)
 from rhtheta.kernels import KernelContext
 from rhtheta.quadrature import integrate_circle
-from rhtheta.rh_solver import _CIRCLE_PHASE, PsiEvaluation, RHSolution
+from rhtheta.rh_solver import PsiEvaluation, RHSolution
 from rhtheta.theta import ThetaChar
 
 
