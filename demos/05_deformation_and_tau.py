@@ -32,9 +32,9 @@ for m in range(4):
     print(f"  branch point {m}: {rauch_check(sol, m):.2e}")
 
 hs = hamiltonians(sol)
-print("\nHamiltonians (closed form vs squared-trace contour):")
+print("\nHamiltonians (closed form vs squared trace of the residues):")
 for m, (a, b) in enumerate(zip(hs.values, hs.contour_values)):
-    print(f"  H{m} = {a:+.10f}   contour {abs(a - b):.1e}")
+    print(f"  H{m} = {a:+.10f}   squared trace {abs(a - b):.1e}")
 print(f"sum of Hamiltonians: {abs(hs.values.sum()):.2e} (a global scaling "
       f"changes nothing)")
 

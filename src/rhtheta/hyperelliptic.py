@@ -15,7 +15,8 @@ Conventions fixed here and relied on everywhere else:
   (a_j o b_k = delta_jk, b_j o b_k = 0).
 * The Abel map is based at the first sorted branch point and is kept on the
   universal cover: continuation along a path never folds values back into
-  the period lattice.
+  the period lattice.  Every route starts one hop out, at the reference
+  node of branch point 0's residue circle.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .geometry import (
     ellipse_loop,
     intersection_number,
     pick_crossing_point,
-    point_segment_distance,
     route,
     segment_crossing,
     split_polyline,
@@ -53,9 +53,9 @@ from .theta import ThetaContext
 # loop family with fresh clearances so loop pairs stay transversal.
 _LOOP_LADDER = ((0.05, 1.0), (0.043, 0.71), (0.058, 1.31), (0.037, 0.89))
 # Phase of the reference node on a circle around a branch point, so no node
-# starts on a cut line.  The node of radius _circle_radius is where Abel
-# values at branch points are hopped from; residue circles and the circle
-# integrals of the deformation checks use the same rule.
+# starts on a cut line.  Abel routes start at the node of radius
+# _circle_radius around branch point 0 and branch-point values are hopped
+# from theirs; residue circles and deformation-check circles use the rule.
 _CIRCLE_PHASE = 0.37
 
 
@@ -64,6 +64,12 @@ def _circle_radius(points, m, factor=0.25):
     to the nearest other branch point."""
     return factor * min(abs(points[m] - q)
                         for i, q in enumerate(points) if i != m)
+
+
+def _circle_node(points, m, rho=None):
+    """Reference node of a circle of radius rho around branch point m."""
+    rho = _circle_radius(points, m) if rho is None else rho
+    return points[m] + rho * np.exp(1j * _CIRCLE_PHASE)
 
 
 def _sort_key(z):
@@ -277,31 +283,13 @@ class PeriodData:
                 f"on the way to {zs.size} point(s): {', '.join(shown)}") from exc
 
     def anchor_point(self):
-        """Start of every ``abel`` route: a point just outside branch point 0,
-        collinear with its cut, and its Abel value, computed on first use."""
-        if self._anchor is not None:
-            return self._anchor
-        p = self.curve.points[0]
-        i, j = next(pair for pair in self.curve.cut_index_pairs if 0 in pair)
-        other = self.curve.points[j if i == 0 else i]
-        u = (p - other) / abs(p - other)
-        r = 0.35 * self.curve.min_separation
-        for _ in range(8):
-            z = p + r * u
-            ok = True
-            for cut in self.curve.cuts:
-                if point_segment_distance(z, *cut) < 0.5 * r:
-                    if p not in cut:
-                        ok = False
-                        break
-            if ok and all(segment_crossing(p + 1e-3 * r * u, z, *c) is None
-                          for c in self.curve.cuts):
-                break
-            r *= 0.5
-        else:
-            raise LoopConstructionFailed("no clear anchor at branch point 0")
-        dU, _ = self._hop(0, [z])
-        self._anchor = (z, dU[:, 0])
+        """Start of every ``abel`` route and its Abel value, computed on first
+        use: the reference node of branch point 0's residue circle, reached
+        by one hop from the base point."""
+        if self._anchor is None:
+            z = _circle_node(self.curve.points, 0)
+            dU, sign = self._hop(0, [z])
+            self._anchor = (z, sign[0] * dU[:, 0])
         return self._anchor
 
     def sheet1_route(self, z0, z1):
@@ -320,17 +308,16 @@ class PeriodData:
     def abel(self, lam=None, sheet=1, branch_index=None):
         """Abel map of a surface point, based at the first branch point.
 
-        Interior points are reached on sheet 1 by a cut-avoiding route; the
-        sheet-2 value is the exact negative (the hyperelliptic involution
-        fixes the basepoint).  branch_index selects a branch point target,
-        reached by a straight hop back from the reference node of its
-        residue circle, which lies outside every route clearance; the value
-        agrees with any other route up to a lattice vector.
+        Interior points are reached on sheet 1 by a cut-avoiding route from
+        ``anchor_point``; the sheet-2 value is the exact negative (the
+        hyperelliptic involution fixes the basepoint).  branch_index selects a
+        branch point, reached by a straight hop back from the reference node of
+        its residue circle, outside every route clearance; the value agrees
+        with any other route up to a lattice vector.
         """
         if branch_index is not None:
             m = int(branch_index)
-            z = self.curve.points[m] + (_circle_radius(self.curve.points, m)
-                                        * np.exp(1j * _CIRCLE_PHASE))
+            z = _circle_node(self.curve.points, m)
             dU, sign = self._hop(m, [z])
             return sign[0] * self.abel(z) - dU[:, 0]
         z0, base = self.anchor_point()

@@ -75,7 +75,7 @@ def rauch_check(sol, m):
     return float(np.max(np.abs(fd - b_derivative(pd, m))))
 
 
-def b_derivative_sheet_sum(periods, m, tol=1e-11):
+def b_derivative_sheet_sum(periods, m):
     """Same derivative through the two-sheet sum of differential pairings,
     integrated on a circle; the closed form is its exact residue."""
     lam0 = periods.curve.points[m]
@@ -85,7 +85,7 @@ def b_derivative_sheet_sum(periods, m, tol=1e-11):
         return 2.0 * np.einsum("an,bn->abn", v, v)
 
     rho = _circle_radius(periods.curve.points, m)
-    return integrate_circle(f, lam0, rho, tol=tol, phase=_CIRCLE_PHASE)
+    return integrate_circle(f, lam0, rho, phase=_CIRCLE_PHASE)
 
 
 def differential_variation_check(sol, m, at):
@@ -141,12 +141,11 @@ class HamiltonianSet:
     """Generating Hamiltonians of the deformation in both evaluations."""
 
     values: np.ndarray           # closed form, one per branch point
-    contour_values: np.ndarray   # residue of the squared-trace contour
+    contour_values: np.ndarray   # squared-trace residue, from Psi's residues
     discrepancy: float
-    radius_factor: float
 
 
-def bergmann_pair_residue(kernel, m, tol=1e-11):
+def bergmann_pair_residue(kernel, m):
     """Residue at branch point m of the kernel paired across the two
     sheets over the same base point.  The integrand ignores lattice shifts
     of U, so the circle takes one routed Abel value and hops in batch."""
@@ -160,8 +159,7 @@ def bergmann_pair_residue(kernel, m, tol=1e-11):
         H = kernel.log_hess_odd(2.0 * abel(zs))
         return np.einsum("an,abn,bn->n", v, H, v)
 
-    return integrate_circle(f, lam0, rho, tol=tol,
-                            phase=_CIRCLE_PHASE) / (2j * np.pi)
+    return integrate_circle(f, lam0, rho, phase=_CIRCLE_PHASE) / (2j * np.pi)
 
 
 def theta_constant_derivative(kernel, m):
@@ -179,31 +177,21 @@ def hamiltonian_closed(kernel, m):
         kernel, m)
 
 
-def hamiltonian_contour(sol, m, radius_factor=0.25, tol=1e-8):
-    """The m-th Hamiltonian as half the residue of the squared trace of
-    the logarithmic derivative, straight from the solution matrix."""
-    lam0 = sol.curve.points[m]
-    rho = _circle_radius(sol.curve.points, m, radius_factor)
-    dlog = sol.circle_log_derivative(m, rho)
+def hamiltonians(sol):
+    """Both evaluations of every Hamiltonian and their worst discrepancy.
 
-    def f(zs):
-        a = dlog(zs)
-        return np.einsum("ijn,jin->n", a, a)
-
-    total = integrate_circle(f, lam0, rho, tol=tol, phase=_CIRCLE_PHASE)
-    return 0.5 * total / (2j * np.pi)
-
-
-def hamiltonians(sol, radius_factor=0.25):
-    """Both evaluations of every Hamiltonian and their worst discrepancy."""
-    kernel = _kernel(sol)
-    M = len(sol.curve.points)
-    closed = np.array([hamiltonian_closed(kernel, m) for m in range(M)])
-    contour = np.array([hamiltonian_contour(sol, m, radius_factor)
-                        for m in range(M)])
+    The contour value, half the residue of tr(Psi_lambda Psi^-1)^2 at lambda_m,
+    is sum_{n != m} tr(A_m A_n) / (lambda_m - lambda_n) by the rational form
+    of Psi_lambda Psi^-1 with the solution's own residue matrices A_n."""
+    points = sol.curve.points
+    closed = np.array([hamiltonian_closed(_kernel(sol), m)
+                       for m in range(len(points))])
+    A = sol.residues().matrices
+    diff = points[:, None] - points[None, :]
+    np.fill_diagonal(diff, np.inf)
+    contour = (np.einsum("mij,nji->mn", A, A) / diff).sum(axis=1)
     return HamiltonianSet(values=closed, contour_values=contour,
-                          discrepancy=float(np.max(np.abs(closed - contour))),
-                          radius_factor=radius_factor)
+                          discrepancy=float(np.max(np.abs(closed - contour))))
 
 
 # -- tau function ------------------------------------------------------------

@@ -99,8 +99,7 @@ def integrate_substituted(f, tol=1e-12):
     return integrate_segment(f, -np.pi / 2, np.pi / 2, tol=tol)
 
 
-def integrate_circle(f, center, radius, n_start=64, tol=1e-11, max_n=16384,
-                     phase=0.0):
+def integrate_circle(f, center, radius, tol=1e-11, max_n=16384, phase=0.0):
     """Counterclockwise contour integral of f around a circle.
 
     Trapezoid rule, doubled until converged; spectrally accurate for
@@ -109,7 +108,7 @@ def integrate_circle(f, center, radius, n_start=64, tol=1e-11, max_n=16384,
     through the center.
     """
     center = complex(center)
-    n = n_start
+    n = 64
     prev = None
     while n <= max_n:
         th = phase + 2.0 * np.pi * np.arange(n) / n

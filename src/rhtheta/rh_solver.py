@@ -30,7 +30,7 @@ by the same stacked assembler that serves single points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (InconsistentLayout, LatticeExtractionFailed,
                      LoopConstructionFailed, QuadratureFailure, RoutingFailure,
                      SingularPoint)
 from .geometry import point_segment_distance, split_polyline
-from .hyperelliptic import _CIRCLE_PHASE, _circle_radius
+from .hyperelliptic import _CIRCLE_PHASE, _circle_node, _circle_radius
 from .kernels import KernelContext
 from .quadrature import integrate_circle, integrate_pieces
 # theta itself is not called here; the benchmark tracer patches every
@@ -64,7 +64,7 @@ def _circle_abel(periods, m, rho, routed):
     """Reference node of the circle of radius rho around branch point m, and
     the sheet-1 Abel values (g, N), up to lattice vectors, of nodes zs on it,
     hopped from the value ``routed`` gives at that node when a batch runs."""
-    z_ref = periods.curve.points[m] + rho * np.exp(1j * _CIRCLE_PHASE)
+    z_ref = _circle_node(periods.curve.points, m, rho)
     return z_ref, lambda zs: periods.abel_near_branch(m, zs, z_ref,
                                                       routed(z_ref))
 
@@ -452,7 +452,7 @@ class RHSolution:
 
     # -- residues ---------------------------------------------------------
 
-    def residue(self, n, radius_factor=0.25, tol=1e-8):
+    def residue(self, n, radius_factor=0.25):
         """Residue matrix of the logarithmic derivative at branch point n,
         by trapezoid sums on a circle, doubled until stable; germ-free, as
         another germ multiplies Psi on the right by a constant matrix."""
@@ -464,15 +464,15 @@ class RHSolution:
         f = self.circle_log_derivative(n, rho)
         try:
             cur = integrate_circle(lambda zs: f(zs) / (2j * np.pi), p, rho,
-                                   tol=tol, max_n=4096, phase=_CIRCLE_PHASE)
+                                   tol=1e-8, max_n=4096, phase=_CIRCLE_PHASE)
         except QuadratureFailure as exc:
             raise QuadratureFailure(
                 f"residue circle at branch point {n}: {exc}") from exc
         self._residue_cache[key] = cur
         return cur
 
-    def residues(self, radius_factor=0.25, tol=1e-8):
-        mats = np.array([self.residue(n, radius_factor, tol)
+    def residues(self):
+        mats = np.array([self.residue(n)
                          for n in range(len(self.curve.points))])
         eig = np.array([np.sort_complex(np.linalg.eigvals(m)) for m in mats])
         return ResidueSet(matrices=mats, exponents=eig,

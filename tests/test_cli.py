@@ -48,7 +48,7 @@ def test_periods_report(tmp_path):
     assert abs(as_matrix(report["period_matrix"])[0, 0] - pd.B[0, 0]) < 1e-14
     assert abs(as_matrix(report["a_periods"])[0, 0] - pd.A[0, 0]) < 1e-14
     assert set(report["conventions"]) == {
-        "homology_basis", "odd_characteristic", "loop_layout"}
+        "homology_basis", "odd_characteristic", "loop_layout", "abel_base"}
 
 
 def test_theta_eval_report(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +86,9 @@ def test_hamiltonians_two_evaluations(sol1):
 
 def test_hamiltonians_ignore_normalization_point(sol1):
     moved = RHSolution(sol1.periods, None, -1.2 + 0.8j, kernel=sol1.kc)
-    for m in (0, 2):
-        a = iso.hamiltonian_contour(sol1, m)
-        b = iso.hamiltonian_contour(moved, m)
-        assert abs(a - b) < 1e-6
+    a = iso.hamiltonians(sol1).contour_values
+    b = iso.hamiltonians(moved).contour_values
+    assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_batched_circles_match_per_node_path(sol1, sol2, monkeypatch):
@@ -108,6 +108,7 @@ def test_batched_circles_match_per_node_path(sol1, sol2, monkeypatch):
                    for j, s in ((1, 1.0), (2, -1.0)))
 
     for sol, at in ((sol1, 0.9 + 1.8j), (sol2, -1.4 - 1.9j)):
+        contour = iso.hamiltonians(sol).contour_values
         for m in (0, len(sol.curve.points) - 1):
             # with the finite difference replaced by the per-node circle,
             # the check returns its distance from the batched circle
@@ -118,7 +119,7 @@ def test_batched_circles_match_per_node_path(sol1, sol2, monkeypatch):
             ham = 0.5 * per_node(
                 lambda z: np.trace(np.linalg.matrix_power(sol.ode_matrix(z), 2)),
                 sol, m, 1e-8)
-            assert abs(iso.hamiltonian_contour(sol, m) - ham) < 1e-10
+            assert abs(contour[m] - ham) < 1e-10
             pair = per_node(lambda z: sol.kc.bergmann((z, 1), (z, 2)),
                             sol, m, 1e-11)
             assert abs(iso.bergmann_pair_residue(sol.kc, m) - pair) < 1e-10
@@ -192,16 +193,35 @@ def test_subset_theta_products(sol1, sol2):
 
 
 def test_branch_point_abel_values_near_a_tight_anchor():
-    # branch point 1 sits 0.1 from the other cut, so an anchor placed next
-    # to it lands inside every route clearance; the hop back from its
-    # residue-circle node needs no such anchor
-    pd = compute_periods(HyperellipticCurve([-2.0, 0.0, 0.1 - 1j, 0.1 + 1j]))
-    for m in range(4):
-        _, _, res = pd.lattice_decompose(2.0 * pd.abel(branch_index=m))
-        assert np.max(np.abs(res)) < 1e-10, m
-    ratios = iso.thomae_ratios(pd)
-    assert len(ratios) == 3
-    assert np.max(np.abs(np.abs(ratios) - 1.0)) < 1e-10
+    # each curve puts a branch point close to a cut it does not bound:
+    # branch point 1 of the first sits 0.1 from it, branch point 0 of the
+    # second 0.03.  Routes start at branch point 0's residue-circle node and
+    # branch-point values hop from their own nodes, so no curve needs a
+    # route start next to a branch point, inside every route clearance
+    curves = ([-2.0, 0.0, 0.1 - 1j, 0.1 + 1j],
+              [-1.0, -0.98 + 3j, -0.97 - 1j, -0.97 + 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for points in curves:
+            pd = compute_periods(HyperellipticCurve(points))
+            for m in range(4):
+                U = pd.abel(branch_index=m)
+                _, _, res = pd.lattice_decompose(2.0 * U)
+                assert np.max(np.abs(res)) < 1e-10, m
+            ratios = iso.thomae_ratios(pd)
+            assert len(ratios) == 3
+            assert np.max(np.abs(np.abs(ratios) - 1.0)) < 1e-10
+        node, _ = pd.anchor_point()
+        rho = 0.25 * np.min(np.abs(pd.curve.points[1:] - pd.curve.points[0]))
+        want = pd.curve.points[0] + rho * np.exp(1j * _CIRCLE_PHASE)
+        assert abs(node - want) < 1e-15
+        assert np.all(np.isfinite(pd.abel(0.5 + 0.5j)))
+        kc = KernelContext(pd, ThetaChar((0.11,), (-0.23,)))
+        sol = RHSolution(pd, None, 0.5 + 0.5j, kernel=kc)
+        _, defect, _ = sol.monodromy_product()
+        assert defect < 1e-12
+        exponents = sol.residues().exponents
+        assert np.max(np.abs(exponents - [-0.25, 0.25])) < 1e-10
 
 
 def test_branch_tracking(sol1):

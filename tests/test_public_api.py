@@ -4,7 +4,9 @@ Each public top-level function and class of every ``rhtheta`` module, and
 each public method, must be used somewhere in ``src/``, ``tests/`` or
 ``demos/`` outside a line that defines it.  Only code counts: a name that
 appears in a comment or a docstring alone is still dead.  Error types are
-classes of ``errors.py`` and are covered by the same rule.
+classes of ``errors.py`` and are covered by the same rule.  Likewise every
+name a module imports must occur in that module's code, unless its import
+line carries ``# noqa: F401``.
 """
 
 import ast
@@ -73,3 +75,29 @@ def test_definitions_are_found():
     assert ("theta", "theta") in names
     assert ("errors", "RHThetaError") in names
     assert ("rh_solver", "RHSolution.monodromy") in names
+
+
+def _unused_imports(path):
+    """Names the module at path imports and never uses in its code."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            waived = "# noqa: F401" in lines[alias.lineno - 1]
+            if name not in used and not waived:
+                out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_imported_names_are_used():
+    unused = [name for path in sorted(PACKAGE.glob("*.py"))
+              for name in _unused_imports(path)]
+    assert not unused, f"imported names without a use: {unused}"
