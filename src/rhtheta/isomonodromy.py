@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurve, StepTooLarge
+from .errors import DegenerateCurve, QuadratureFailure, StepTooLarge
 from .hyperelliptic import _CIRCLE_PHASE, _circle_radius, compute_periods
 from .kernels import KernelContext, even_subset_characteristics
 from .quadrature import integrate_circle
@@ -49,6 +49,16 @@ def _central(periods, m, f):
     d = (at(h) - at(-h)) / (2.0 * h)
     d2 = (at(h / 2) - at(-h / 2)) / h
     return (4.0 * d2 - d) / 3.0
+
+
+def _branch_circle(f, points, m, rho, what):
+    """Circle integral of f around branch point m, radius rho; a failure
+    names the branch point."""
+    try:
+        return integrate_circle(f, points[m], rho, phase=_CIRCLE_PHASE)
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(
+            f"{what} circle at branch point {m}: {exc}") from exc
 
 
 # -- exact variations of the period data ------------------------------------
@@ -78,14 +88,13 @@ def rauch_check(sol, m):
 def b_derivative_sheet_sum(periods, m):
     """Same derivative through the two-sheet sum of differential pairings,
     integrated on a circle; the closed form is its exact residue."""
-    lam0 = periods.curve.points[m]
-
     def f(zs):
         v = periods.differentials(zs)
         return 2.0 * np.einsum("an,bn->abn", v, v)
 
-    rho = _circle_radius(periods.curve.points, m)
-    return integrate_circle(f, lam0, rho, phase=_CIRCLE_PHASE)
+    points = periods.curve.points
+    return _branch_circle(f, points, m, _circle_radius(points, m),
+                          "period-derivative")
 
 
 def differential_variation_check(sol, m, at):
@@ -101,7 +110,7 @@ def differential_variation_check(sol, m, at):
     pd = kernel.periods
     z = complex(at)
     fd = _central(pd, m, lambda moved, s: moved.differentials(z)[:, 0])
-    lam0, rho = pd.curve.points[m], _circle_radius(pd.curve.points, m)
+    rho = _circle_radius(pd.curve.points, m)
     _, abel = _circle_abel(pd, m, rho, lambda w: kernel.abel((w, 1)))
     Uz = kernel.abel((z, 1))[:, None]
     vz = pd.differentials(z)[:, 0]
@@ -111,7 +120,8 @@ def differential_variation_check(sol, m, at):
         H = kernel.log_hess_odd(U - Uz) + kernel.log_hess_odd(U + Uz)
         return -v * np.einsum("an,abn,b->n", v, H, vz)
 
-    ex = integrate_circle(f, lam0, rho, phase=_CIRCLE_PHASE) / (2j * np.pi)
+    ex = _branch_circle(f, pd.curve.points, m, rho,
+                        "differential-variation") / (2j * np.pi)
     return float(np.max(np.abs(fd - ex)))
 
 
@@ -148,9 +158,12 @@ class HamiltonianSet:
 def bergmann_pair_residue(kernel, m):
     """Residue at branch point m of the kernel paired across the two
     sheets over the same base point.  The integrand ignores lattice shifts
-    of U, so the circle takes one routed Abel value and hops in batch."""
+    of U, so the circle takes one routed Abel value and hops in batch.
+    Each kernel context computes the residue of a branch point once."""
+    if m in kernel._pair_residues:
+        return kernel._pair_residues[m]
     pd = kernel.periods
-    lam0, rho = pd.curve.points[m], _circle_radius(pd.curve.points, m)
+    rho = _circle_radius(pd.curve.points, m)
     _, abel = _circle_abel(pd, m, rho, lambda w: kernel.abel((w, 1)))
 
     def f(zs):
@@ -159,7 +172,10 @@ def bergmann_pair_residue(kernel, m):
         H = kernel.log_hess_odd(2.0 * abel(zs))
         return np.einsum("an,abn,bn->n", v, H, v)
 
-    return integrate_circle(f, lam0, rho, phase=_CIRCLE_PHASE) / (2j * np.pi)
+    out = _branch_circle(f, pd.curve.points, m, rho,
+                         "kernel pair-residue") / (2j * np.pi)
+    kernel._pair_residues[m] = out
+    return out
 
 
 def theta_constant_derivative(kernel, m):

@@ -166,6 +166,8 @@ class KernelContext:
             raise CharOnThetaDivisor(
                 "theta constant of the twist characteristic vanishes")
         self._U_cache = {}
+        # isomonodromy.bergmann_pair_residue values, by branch index
+        self._pair_residues = {}
 
     # -- scalar ingredients --------------------------------------------
 

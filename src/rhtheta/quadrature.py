@@ -1,12 +1,25 @@
-"""Adaptive Gauss-Legendre quadrature on straight segments and circles.
+"""Adaptive quadrature on straight segments and circles.
 
 All period and residue integrals in this package run through here.  The
-core routine doubles the node count until two successive approximations
-agree; when doubling stalls (integrand with nearby singularities off the
-ends of a long segment) it bisects the segment and recurses, which restores
-geometric convergence.  It takes a stack of segments as well as one, so a
-polyline costs one integrand call per node count and sheet, not one per
-piece; each segment still converges, and is bisected, on its own.
+segment routine is Gauss-Legendre: it doubles the node count until two
+successive approximations agree; when doubling stalls (integrand with
+nearby singularities off the ends of a long segment) it bisects the segment
+and recurses, which restores geometric convergence.  It takes a stack of
+segments as well as one, so a polyline costs one integrand call per node
+count and sheet, not one per piece; each segment still converges, and is
+bisected, on its own.
+
+The circle routine is a nested trapezoid rule.  The nodes of the 2n-node
+rule are those of the n-node rule plus the n odd nodes between them, so a
+doubling evaluates the integrand only on the new nodes.  On a circle of
+radius rho whose nearest singularity off the centre lies at distance R,
+the error of the n-node rule falls like (rho / R)^n.  The residue circles
+take rho a quarter of the distance to the nearest other branch point, and
+Psi_lambda Psi^-1, rational with poles only at the branch points, then
+has an error falling like 4^-n: 32 nodes already sit at rounding level,
+so the rule starts there and the first doubling confirms it at 64 nodes.
+An integrand with a closer singularity keeps doubling until two
+successive rules agree.
 """
 
 from __future__ import annotations
@@ -102,25 +115,32 @@ def integrate_substituted(f, tol=1e-12):
 def integrate_circle(f, center, radius, tol=1e-11, max_n=16384, phase=0.0):
     """Counterclockwise contour integral of f around a circle.
 
-    Trapezoid rule, doubled until converged; spectrally accurate for
-    integrands analytic in an annulus around the contour.  A nonzero phase
-    rotates the nodes, which keeps them off straight singular lines
+    Nested trapezoid rule from 32 nodes, doubled until two successive
+    rules agree; spectrally accurate for integrands analytic in an annulus
+    around the contour.  Each doubling calls f once, on the new odd nodes
+    phase + 2 pi (2k+1) / (2n) only, and adds them to the kept sum, so a
+    circle that converges at 64 nodes costs 64 evaluations.  A nonzero
+    phase rotates the nodes, which keeps them off straight singular lines
     through the center.
     """
     center = complex(center)
-    n = 64
-    prev = None
-    while n <= max_n:
-        th = phase + 2.0 * np.pi * np.arange(n) / n
-        z = center + radius * np.exp(1j * th)
-        dz = 1j * radius * np.exp(1j * th) * (2.0 * np.pi / n)
-        cur = np.tensordot(f(z), dz, axes=([-1], [0]))
-        if prev is not None:
-            err = np.max(np.abs(cur - prev))
-            scale = max(np.max(np.abs(cur)), 1.0)
-            if err <= tol * scale:
-                return cur
-        prev = cur
+
+    def node_sum(th):
+        e = radius * np.exp(1j * th)
+        return np.tensordot(f(center + e), 1j * e, axes=([-1], [0]))
+
+    n = 32
+    total = node_sum(phase + 2.0 * np.pi * np.arange(n) / n)
+    prev = total * (2.0 * np.pi / n)
+    while 2 * n <= max_n:
+        total = total + node_sum(
+            phase + 2.0 * np.pi * np.arange(1, 2 * n, 2) / (2 * n))
         n *= 2
+        cur = total * (2.0 * np.pi / n)
+        err = np.max(np.abs(cur - prev))
+        scale = max(np.max(np.abs(cur)), 1.0)
+        if err <= tol * scale:
+            return cur
+        prev = cur
     raise QuadratureFailure(
         f"circle integral at {center:.4g} (radius {radius:.3g}) stalled")

@@ -211,8 +211,9 @@ def test_verify_computes_each_curve_once(monkeypatch, genus, distinct):
     # the base curve, its looser-tolerance twin for node_doubling, and the
     # curve moved by each of four steps in each branch point, once each;
     # the thomae, compatibility and f_factor rows share one Riemann-constant
-    # scan of the base curve
-    calls, scans = [], []
+    # scan of the base curve; the tau_gradient, hamiltonian and f_factor
+    # rows share one kernel pair-residue circle per branch point
+    calls, scans, pair_circles = [], [], []
 
     def counting(curve, tol=1e-12):
         calls.append((tuple(curve.points), tol))
@@ -222,15 +223,24 @@ def test_verify_computes_each_curve_once(monkeypatch, genus, distinct):
         scans.append(periods)
         return riemann_constant(periods)
 
+    circle = iso_mod._branch_circle
+
+    def circling(f, points, m, rho, what):
+        if what == "kernel pair-residue":
+            pair_circles.append(m)
+        return circle(f, points, m, rho, what)
+
     for mod in (cli_mod, hyp_mod, iso_mod):
         monkeypatch.setattr(mod, "compute_periods", counting)
     monkeypatch.setattr(ker_mod, "riemann_constant", scanning)
+    monkeypatch.setattr(iso_mod, "_branch_circle", circling)
     assert main(["verify", "--curve", str(SAMPLES / f"curve_g{genus}.json"),
                  "--char", str(SAMPLES / f"char_g{genus}.json"),
                  "--suite", "all", "--output", os.devnull]) == 0
     assert len(set(calls)) == distinct
     assert len(calls) == distinct
     assert [tuple(pd.curve.points) for pd in scans] == [calls[0][0]]
+    assert sorted(pair_circles) == list(range(2 * genus + 2))
 
 
 # -- configuration errors ----------------------------------------------------

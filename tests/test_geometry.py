@@ -128,6 +128,64 @@ def test_integrate_circle_residue():
     assert abs(val2) < 1e-12
 
 
+def _full_trapezoid(f, center, radius, n, phase):
+    th = phase + 2.0 * np.pi * np.arange(n) / n
+    z = center + radius * np.exp(1j * th)
+    dz = 1j * radius * np.exp(1j * th) * (2.0 * np.pi / n)
+    return np.tensordot(f(z), dz, axes=([-1], [0]))
+
+
+def test_integrate_circle_evaluates_each_node_once():
+    # 32 nodes, then the 32 odd nodes of the 64-node rule, which converges
+    seen = []
+
+    def f(z):
+        seen.extend(z)
+        return 1.0 / (z - 5.0)
+
+    integrate_circle(f, 0.0, 1.0, phase=0.37)
+    assert len(seen) == len(set(seen)) == 64
+    th = 0.37 + 2.0 * np.pi * np.arange(64) / 64
+    assert set(seen) == set(np.exp(1j * th))
+
+
+def test_nested_circle_matches_a_full_trapezoid():
+    # the kept sum plus the new nodes gives the full rule at the final n
+    def scalar(z):
+        return 1.0 / (z - 0.2) + 1.0 / (z - 2.0)
+
+    def stacked(z):
+        b = np.exp(z) / (z + 0.1j) + z ** 2 / (z - 1.3j)
+        return np.array([[scalar(z), b], [b * z, 1.0 / (z + 1.3)]])
+
+    for f in (scalar, stacked):
+        seen = []
+
+        def counted(z):
+            seen.extend(z)
+            return f(z)
+
+        got = integrate_circle(counted, 0.1, 1.0, phase=0.37)
+        ref = _full_trapezoid(f, 0.1, 1.0, len(seen), 0.37)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_integrate_circle_doubles_past_64_nodes():
+    # a pole at 1.1x the radius: the error falls like 1.1^-n, so 64 nodes
+    # are far off and the rule keeps doubling to the exact value
+    seen = []
+
+    def f(z):
+        seen.extend(z)
+        return 1.0 / (z - 0.3) + 1.0 / (z - 1.1)
+
+    assert abs(integrate_circle(f, 0.0, 1.0) - 2j * np.pi) < 1e-10
+    assert len(seen) > 64
+    with pytest.raises(QuadratureFailure, match="stalled"):
+        integrate_circle(f, 0.0, 1.0, max_n=64)
+
+
 def test_cross2_orientation():
     assert cross2(1, 1j) > 0
     assert cross2(1j, 1) < 0

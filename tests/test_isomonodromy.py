@@ -9,7 +9,7 @@ import pytest
 import rhtheta.isomonodromy as iso
 import rhtheta.kernels as ker_mod
 from rhtheta.cli import main
-from rhtheta.errors import DegenerateCurve, StepTooLarge
+from rhtheta.errors import DegenerateCurve, QuadratureFailure, StepTooLarge
 from rhtheta.hyperelliptic import (_CIRCLE_PHASE, HyperellipticCurve,
                                    compute_periods, load_curve)
 from rhtheta.kernels import KernelContext, even_subset_characteristics
@@ -123,6 +123,24 @@ def test_batched_circles_match_per_node_path(sol1, sol2, monkeypatch):
             pair = per_node(lambda z: sol.kc.bergmann((z, 1), (z, 2)),
                             sol, m, 1e-11)
             assert abs(iso.bergmann_pair_residue(sol.kc, m) - pair) < 1e-10
+
+
+def test_circle_failures_name_the_branch_point(sol1, monkeypatch):
+    def stalled(f, center, radius, **kwargs):
+        raise QuadratureFailure(
+            f"circle integral at {center:.4g} (radius {radius:.3g}) stalled")
+
+    monkeypatch.setattr(iso, "integrate_circle", stalled)
+    # a fresh kernel context, whose pair residues are not yet memoized
+    kc = KernelContext(sol1.periods, sol1.kc.char)
+    for call in (lambda: iso.b_derivative_sheet_sum(sol1.periods, 2),
+                 lambda: iso.differential_variation_check(kc, 2, 0.9 + 1.8j),
+                 lambda: iso.bergmann_pair_residue(kc, 2)):
+        with pytest.raises(QuadratureFailure,
+                           match="circle at branch point 2: circle integral "
+                                 "at 2[+]0j") as info:
+            call()
+        assert isinstance(info.value.__cause__, QuadratureFailure)
 
 
 def test_squared_trace_ignores_constant_right_factor(sol1):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rhtheta.rh_solver as rh_mod
 from rhtheta.cli import _psi_samples
 from rhtheta.errors import (InconsistentLayout, LatticeExtractionFailed,
                             SingularPoint)
@@ -150,16 +151,20 @@ def _per_sample_track(kc, pieces):
     return start, cur
 
 
+def _sample_solution(genus):
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    curve, lam0 = load_curve(samples / f"curve_g{genus}.json")
+    c = json.loads((samples / f"char_g{genus}.json").read_text())
+    return RHSolution(compute_periods(curve), ThetaChar(tuple(c["p"]),
+                                                        tuple(c["q"])), lam0)
+
+
 @pytest.mark.parametrize("genus", [1, 2])
 def test_batched_spinor_track_matches_per_sample_reference(genus, monkeypatch):
     # every monodromy loop and every germ route of the solve report's
     # samples: a piece's samples evaluated in one call track the same
     # spinor, bit for bit, as one call per sample
-    samples = Path(__file__).resolve().parent.parent / "samples"
-    curve, lam0 = load_curve(samples / f"curve_g{genus}.json")
-    c = json.loads((samples / f"char_g{genus}.json").read_text())
-    sol = RHSolution(compute_periods(curve), ThetaChar(tuple(c["p"]),
-                                                       tuple(c["q"])), lam0)
+    sol = _sample_solution(genus)
     track = KernelContext.continue_h_along
     checked = []
 
@@ -171,9 +176,9 @@ def test_batched_spinor_track_matches_per_sample_reference(genus, monkeypatch):
 
     monkeypatch.setattr(KernelContext, "continue_h_along", compared)
     sol.monodromies()
-    assert len(checked) == len(curve.points)
+    assert len(checked) == len(sol.curve.points)
     _psi_samples(sol)
-    assert len(checked) > len(curve.points) + 20
+    assert len(checked) > len(sol.curve.points) + 20
 
 
 def test_one_spinor_continuation_per_path(sol1, monkeypatch):
@@ -381,8 +386,8 @@ def test_batched_residues_match_per_node_path(sol1, sol2):
 
 
 def test_residues_across_a_foreign_cut():
-    # the circle around the branch point at 0 has radius 0.25, and 48 of
-    # its 128 radial hops cross the cut [0.1 - i, 0.1 + i]; past the
+    # the circle around the branch point at 0 has radius 0.25, and 24 of
+    # its 64 radial hops cross the cut [0.1 - i, 0.1 + i]; past the
     # crossing they must go on on the other sheet
     pd = compute_periods(HyperellipticCurve([-2.0, 0.0, 0.1 - 1j, 0.1 + 1j]))
     sol = RHSolution(pd, ThetaChar((0.13,), (-0.21,)), -1.0 + 1.5j)
@@ -420,6 +425,25 @@ def test_residues_route_one_germ_per_branch_point(sol2, monkeypatch):
     monkeypatch.setattr(RHSolution, "_germ", counted)
     fresh.residues()
     assert 0 < len(calls) <= len(fresh.curve.points)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_residues_evaluate_64_nodes_per_branch_point(genus, monkeypatch):
+    # the nested circle rule converges at 64 nodes, each evaluated once:
+    # 32 nodes, then the 32 new odd nodes of the 64-node rule
+    sol = _sample_solution(genus)
+    nodes = {}
+    circle = rh_mod.integrate_circle
+
+    def counted(f, center, *args, **kwargs):
+        def g(zs):
+            nodes[center] = nodes.get(center, 0) + len(zs)
+            return f(zs)
+        return circle(g, center, *args, **kwargs)
+
+    monkeypatch.setattr(rh_mod, "integrate_circle", counted)
+    sol.residues()
+    assert nodes == {p: 64 for p in sol.curve.points}
 
 
 def test_residue_circle_checks_its_routed_node(sol1, monkeypatch):
