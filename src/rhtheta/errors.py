@@ -57,11 +57,7 @@ class RelationViolated(RHThetaError):
     """A theta relation the kernel construction relies on does not hold."""
 
 
-class ThetaVanishes(RHThetaError):
-    """A theta value required to be nonzero lies below the tolerance."""
-
-
-class CharOnThetaDivisor(ThetaVanishes):
+class CharOnThetaDivisor(RHThetaError):
     """The characteristic places the solution on the divisor where it fails."""
 
 

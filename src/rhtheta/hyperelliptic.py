@@ -207,9 +207,8 @@ class PeriodData:
 
     def moved(self, m, s):
         """Period data of the curve with branch point m moved by s, computed
-        on first use and kept.  Threads asking at once each compute the same
-        deterministic result and the first one stored is handed to all, so
-        the cache needs no lock."""
+        on first use and kept; every caller of one key gets the first object
+        stored."""
         moved = self._moved.get((m, s))
         if moved is None:
             moved = self._moved.setdefault(

@@ -36,7 +36,10 @@ _FD_FACTOR = 1e-5
 
 def _central(periods, m, f):
     """Derivative in branch point m of f(moved, s), a function of the period
-    data with that point moved by s: central, with one Richardson halving."""
+    data with that point moved by s: central, with one Richardson halving,
+    which cuts the truncation error from (h/d)^2 to (h/d)^4 relative, d the
+    smallest branch-point separation: the plain difference fails the 1e-6
+    rauch_fd gate at d = 0.01 times the scale."""
     curve = periods.curve
     h = _FD_FACTOR * curve.scale
     if h > 0.02 * curve.min_separation:

@@ -45,28 +45,30 @@ def riemann_constant(periods):
     """Vector of Riemann constants for the Abel map based at the first
     branch point.
 
-    For this basepoint the constant is a half period; the scan checks every
-    candidate against the vanishing property theta(K + U(D)) = 0 over all
-    (g-1)-element branch point divisors D and insists on a unique winner.
-    """
+    For this basepoint the constant is the half period K with
+    theta(K + U(D)) = 0 over all (g-1)-element branch point divisors D
+    (Mumford, Tata II, IIIa): a loser stops at its first non-vanishing D,
+    and the scan insists on a unique winner.  Each |theta| is divided by
+    its growth exp(pi y.Y^-1 y), y = Im z, Y = Im B, before the gate."""
     g = periods.curve.genus
     B, ctx = periods.B, periods.theta_context
     n_pts = len(periods.curve.points)
     U = [periods.abel(branch_index=m) for m in range(n_pts)]
     divisors = [sum((U[m] for m in D), np.zeros(g, dtype=complex))
                 for D in itertools.combinations(range(n_pts), g - 1)]
-    scale = abs(theta(np.zeros(g), ctx))
-    winners = []
-    for ch in half_characteristics(g):
-        p, q = ch.arrays()
-        K = B @ p + q
-        worst = max(abs(theta(K + d, ctx)) for d in divisors)
-        if worst < _SCAN_TOL * scale:
-            winners.append((K, worst))
+    gate = _SCAN_TOL * abs(theta(np.zeros(g), ctx))
+
+    def vanishes(z):
+        y = z.imag
+        return abs(theta(z, ctx)) * np.exp(-np.pi * y @ ctx.Y_inv @ y) < gate
+
+    halves = [B @ p + q
+              for p, q in map(ThetaChar.arrays, half_characteristics(g))]
+    winners = [K for K in halves if all(vanishes(K + d) for d in divisors)]
     if len(winners) != 1:
         raise RelationViolated(
             f"riemann constant scan found {len(winners)} candidates")
-    return winners[0][0]
+    return winners[0]
 
 
 def even_subset_characteristics(periods):

@@ -301,6 +301,20 @@ def test_step_guard():
         iso.rauch_check(pd, 0)
 
 
+def test_period_derivative_on_a_close_pair():
+    # branch points 0 and 1 sit 0.01 of the curve scale apart, so the step
+    # is 1e-3 of their separation: a plain central difference misses the
+    # closed form by 1.7e-6, over the 1e-6 rauch_fd gate of verify, and the
+    # Richardson step by under 1e-9
+    pd = compute_periods(HyperellipticCurve(
+        [0.604633396765573 - 0.7194788325354105j,
+         0.5974597096318456 - 0.6974004937430914j,
+         1.5579295482177131 - 0.5936470313729414j,
+         1.7686166398758791 - 1.4632561725708269j]))
+    for m in (0, 1):
+        assert iso.rauch_check(pd, m) < 1e-7
+
+
 @pytest.mark.parametrize("genus", [1, 2])
 def test_compatibility_scans_only_the_base_curve(genus, monkeypatch):
     # each moved curve's own scan yields the base curve's subset

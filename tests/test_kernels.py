@@ -1,13 +1,43 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
+import rhtheta.kernels as ker_mod
+from rhtheta.errors import CharOnThetaDivisor, CoincidentPoints
+from rhtheta.hyperelliptic import (HyperellipticCurve, compute_periods,
+                                   load_curve)
+from rhtheta.isomonodromy import thomae_ratios
 from rhtheta.kernels import (
     KernelContext,
     even_subset_characteristics,
     riemann_constant,
 )
-from rhtheta.theta import ThetaChar, theta
+from rhtheta.theta import ThetaChar, half_characteristics, theta
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+# branch points drawn in [-2, 2]^2, at least 0.5 apart, one genus-3 and one
+# genus-4 curve
+G3_POINTS = [1.058018751186387 + 1.52966235579771j,
+             -0.2300350610643589 + 1.726115268436251j,
+             -0.3627404530135818 - 1.6464447174986652j,
+             1.866294164987127 + 1.5799438701291386j,
+             -0.26347262313378916 - 0.030795003559425105j,
+             1.303133193451901 + 0.38907636123889056j,
+             -0.9554320403710492 + 0.6221638461743173j,
+             1.5599019894211645 + 1.0791237675211716j]
+G4_POINTS = [1.389022112454581 - 0.05357451808015856j,
+             1.9263591599011503 - 0.6383045126786229j,
+             0.8309337646267019 - 1.2089830325380735j,
+             -0.4963604556145489 - 0.832068600446239j,
+             -1.239275602936968 + 0.4009883814076276j,
+             0.49348326060486647 - 0.12114812946205644j,
+             1.9944146692285623 - 1.2833446490442109j,
+             1.792717764006948 + 0.30991298367447806j,
+             -1.691264641330457 + 0.7175609336685862j,
+             -0.14546006376900422 + 1.4916395854099362j]
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +169,83 @@ def test_riemann_constant_vanishing_property(ctx2):
     for m in range(len(pd.curve.points)):
         val = theta(K + pd.abel(branch_index=m), pd.B)
         assert abs(val) < 1e-8 * scale
+
+
+def _full_scan(pd):
+    """Every half period against every branch point divisor, each theta
+    value scaled by exp(-pi y.Y^-1 y); returns the candidate with the
+    smallest worst value, that value and the runner-up's."""
+    g = pd.curve.genus
+    ctx = pd.theta_context
+    U = [pd.abel(branch_index=m) for m in range(len(pd.curve.points))]
+    divisors = np.array([sum((U[m] for m in D), np.zeros(g, dtype=complex))
+                         for D in itertools.combinations(range(len(U)), g - 1)])
+    worst = []
+    for ch in half_characteristics(g):
+        p, q = ch.arrays()
+        K = pd.B @ p + q
+        z = (K + divisors).T
+        y = z.imag
+        vals = np.abs(theta(z, ctx)) * np.exp(
+            -np.pi * np.einsum("an,ab,bn->n", y, ctx.Y_inv, y))
+        worst.append((vals.max(), K))
+    worst.sort(key=lambda w: w[0])
+    scale = abs(theta(np.zeros(g), ctx))
+    return worst[0][1], worst[0][0] / scale, worst[1][0] / scale
+
+
+@pytest.mark.parametrize("curve", ["g1", "g2", "g3"])
+def test_early_exit_scan_matches_the_full_scan(curve):
+    if curve == "g3":
+        pd = compute_periods(HyperellipticCurve(G3_POINTS))
+    else:
+        pd = compute_periods(load_curve(SAMPLES / f"curve_{curve}.json")[0])
+    K, best, runner_up = _full_scan(pd)
+    assert best < 1e-10 and runner_up > 1e-2
+    assert np.array_equal(riemann_constant(pd), K)
+
+
+def test_riemann_constant_scan_stops_losers_early(monkeypatch):
+    # genus 3: 64 half periods against C(8, 2) = 28 divisors is 1,792
+    # theta values for a full scan; a loser stops at its first divisor
+    # that does not vanish, and the winner takes all 28
+    pd = compute_periods(HyperellipticCurve(G3_POINTS))
+    calls = []
+
+    def counting(z, *args, **kwargs):
+        calls.append(z)
+        return theta(z, *args, **kwargs)
+
+    monkeypatch.setattr(ker_mod, "theta", counting)
+    riemann_constant(pd)
+    assert 63 + 28 < len(calls) <= 200
+
+
+def test_riemann_constant_scan_is_scale_free():
+    # theta grows like exp(pi y.Y^-1 y); on this curve the unscaled value of
+    # the winning half period reached 4e-5 of theta(0) and no candidate
+    # passed the scan.  _full_scan(pd) takes about 10 s here; it picks
+    # [p, q] = [(0, 1/2, 1/2, 1/2), (0, 0, 1/2, 1/2)] at 1.9e-13 of
+    # theta(0), the runner-up reading 0.82
+    pd = compute_periods(HyperellipticCurve(G4_POINTS))
+    p, q = ThetaChar((0, 0.5, 0.5, 0.5), (0, 0, 0.5, 0.5)).arrays()
+    assert np.array_equal(riemann_constant(pd), pd.B @ p + q)
+    r = thomae_ratios(pd)
+    assert len(r) == 126
+    assert np.max(np.abs(np.abs(r) - 1.0)) < 1e-10
+
+
+def test_odd_twist_characteristic_is_rejected(ctx2):
+    # an odd half-integer characteristic has theta[char](0) = 0
+    odd = ThetaChar((0.5, 0.0), (0.5, 0.0))
+    assert odd.parity() == -1
+    with pytest.raises(CharOnThetaDivisor):
+        KernelContext(ctx2.periods, odd)
+
+
+def test_prime_form_of_a_point_with_itself_is_rejected(ctx1):
+    with pytest.raises(CoincidentPoints):
+        ctx1.prime_form((0.5 + 0.5j, 1), (0.5 + 0.5j, 1))
 
 
 def test_divisor_characteristics(ctx1, ctx2):

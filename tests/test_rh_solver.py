@@ -7,8 +7,9 @@ import pytest
 
 import rhtheta.rh_solver as rh_mod
 from rhtheta.cli import _psi_samples
+from rhtheta.covering import validate_quasi_perm
 from rhtheta.errors import (InconsistentLayout, LatticeExtractionFailed,
-                            SingularPoint)
+                            NotQuasiPermutation, SingularPoint)
 from rhtheta.geometry import split_polyline
 from rhtheta.hyperelliptic import (_CIRCLE_PHASE, HyperellipticCurve,
                                    compute_periods, load_curve)
@@ -213,6 +214,12 @@ def test_monodromy_structure(sol1, sol2, mon1, mon2):
             assert c1.lattice_residual < 1e-7
             assert r.vertices[0] == sol.lambda0
             assert r.vertices[-1] == sol.lambda0
+
+
+def test_full_matrix_is_not_a_quasi_permutation(mon1):
+    assert validate_quasi_perm(mon1[0].matrix)[0] == (1, 0)
+    with pytest.raises(NotQuasiPermutation):
+        validate_quasi_perm(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def test_monodromy_lattice_data_g1(mon1):
