@@ -16,7 +16,11 @@ Conventions fixed here and relied on everywhere else:
 * The Abel map is based at the first sorted branch point and is kept on the
   universal cover: continuation along a path never folds values back into
   the period lattice.  Every route starts one hop out, at the reference
-  node of branch point 0's residue circle.
+  node of branch point 0's residue circle.  A branch point's value is
+  hopped back from the reference node of its own circle, and points on a
+  circle are hopped out of that value.  ``PeriodData.abel`` keeps every
+  sheet-1 value it computes, so all callers on one curve share one value
+  per point and per branch point.
 """
 
 from __future__ import annotations
@@ -45,17 +49,19 @@ from .geometry import (
     segment_crossing,
     split_polyline,
 )
-from .quadrature import integrate_pieces, integrate_segment, integrate_substituted
+from .quadrature import (integrate_circle, integrate_pieces, integrate_segment,
+                         integrate_substituted)
 from .theta import ThetaContext
 
 # Retry ladder for homology-loop construction: (margin, stub) as fractions
 # of the minimal branch-point separation.  Each failure rebuilds the whole
 # loop family with fresh clearances so loop pairs stay transversal.
 _LOOP_LADDER = ((0.05, 1.0), (0.043, 0.71), (0.058, 1.31), (0.037, 0.89))
-# Phase of the reference node on a circle around a branch point, so no node
-# starts on a cut line.  Abel routes start at the node of radius
-# _circle_radius around branch point 0 and branch-point values are hopped
-# from theirs; residue circles and deformation-check circles use the rule.
+# Phase of the reference node, the first node of every circle around a
+# branch point (``branch_circle``), so no node starts on a cut line.  Abel
+# routes start at the node of the default radius around branch point 0, and
+# each branch-point value is hopped back from its own node there, so the
+# first node of a default circle already has its Abel value.
 _CIRCLE_PHASE = 0.37
 
 
@@ -66,10 +72,21 @@ def _circle_radius(points, m, factor=0.25):
                         for i, q in enumerate(points) if i != m)
 
 
-def _circle_node(points, m, rho=None):
-    """Reference node of a circle of radius rho around branch point m."""
-    rho = _circle_radius(points, m) if rho is None else rho
-    return points[m] + rho * np.exp(1j * _CIRCLE_PHASE)
+def _circle_node(points, m):
+    """Reference node of the default circle around branch point m."""
+    return points[m] + _circle_radius(points, m) * np.exp(1j * _CIRCLE_PHASE)
+
+
+def branch_circle(f, points, m, what, factor=0.25, tol=1e-11, max_n=16384):
+    """Counterclockwise integral of f (see ``integrate_circle``) on the circle
+    around branch point m of radius ``_circle_radius(points, m, factor)``,
+    nodes from the reference phase; a failure names the branch point."""
+    try:
+        return integrate_circle(f, points[m], _circle_radius(points, m, factor),
+                                tol=tol, max_n=max_n, phase=_CIRCLE_PHASE)
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(
+            f"{what} circle at branch point {m}: {exc}") from exc
 
 
 def _sort_key(z):
@@ -193,6 +210,8 @@ class PeriodData:
     b_pieces: list
     gram: np.ndarray
     _anchor: tuple = field(default=None, repr=False)
+    # sheet-1 Abel values by point, and by ("branch", m) for branch points
+    _abel: dict = field(default_factory=dict, repr=False)
     _theta_context: ThetaContext = field(default=None, repr=False)
     _moved: dict = field(default_factory=dict, repr=False)
     # kept by kernels.even_subset_characteristics
@@ -312,28 +331,35 @@ class PeriodData:
         hyperelliptic involution fixes the basepoint).  branch_index selects a
         branch point, reached by a straight hop back from the reference node of
         its residue circle, outside every route clearance; the value agrees
-        with any other route up to a lattice vector.
+        with any other route up to a lattice vector.  Each value is computed
+        once per point or branch point and kept.
         """
-        if branch_index is not None:
-            m = int(branch_index)
-            z = _circle_node(self.curve.points, m)
-            dU, sign = self._hop(m, [z])
-            return sign[0] * self.abel(z) - dU[:, 0]
-        z0, base = self.anchor_point()
-        path = self.sheet1_route(z0, complex(lam))
-        dU, end_sign = self.continue_abel(path, closed=False)
-        if end_sign != 1.0:
-            raise LoopConstructionFailed("abel route crossed a cut")
-        U = base + dU
-        return U if sheet == 1 else -U
+        key = (complex(lam) if branch_index is None
+               else ("branch", int(branch_index)))
+        U = self._abel.get(key)
+        if U is None:
+            if branch_index is not None:
+                z = _circle_node(self.curve.points, key[1])
+                dU, sign = self._hop(key[1], [z])
+                U = sign[0] * self.abel(z) - dU[:, 0]
+            else:
+                z0, base = self.anchor_point()
+                path = self.sheet1_route(z0, key)
+                dU, end_sign = self.continue_abel(path, closed=False)
+                if end_sign != 1.0:
+                    raise LoopConstructionFailed("abel route crossed a cut")
+                U = base + dU
+            U.flags.writeable = False
+            U = self._abel.setdefault(key, U)
+        return U if sheet == 1 or branch_index is not None else -U
 
-    def abel_near_branch(self, m, zs, z_ref, U_ref):
+    def abel_near_branch(self, m, zs):
         """Sheet-1 Abel values (g, N), up to lattice vectors, at zs near branch
-        point m from one value U_ref at z_ref, by the hops of ``_hop``, all in
-        one rule.  A hop ending on sheet 2 negates, as U(z, 1) = -U(z, 2)."""
-        dU, sign = self._hop(m, np.append(zs, z_ref))
-        U_m = sign[-1] * U_ref - dU[:, -1]
-        return sign[:-1] * (U_m[:, None] + dU[:, :-1])
+        point m, by the hops of ``_hop`` out of the kept value at the branch
+        point, all in one rule.  A hop ending on sheet 2 negates, as
+        U(z, 1) = -U(z, 2)."""
+        dU, sign = self._hop(m, zs)
+        return sign * (self.abel(branch_index=m)[:, None] + dU)
 
     def continue_abel(self, vertices, closed=False, start_sign=1.0):
         """Integral of v along a polyline with sheet tracking.

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurve, QuadratureFailure, StepTooLarge
-from .hyperelliptic import _CIRCLE_PHASE, _circle_radius, compute_periods
+from .errors import DegenerateCurve, StepTooLarge
+from .hyperelliptic import branch_circle, compute_periods
 from .kernels import KernelContext, even_subset_characteristics
-from .quadrature import integrate_circle
-from .rh_solver import RHSolution, _circle_abel
+from .rh_solver import RHSolution
 from .theta import ThetaChar, theta, theta_derivs
 
 _FD_FACTOR = 1e-5
@@ -52,16 +51,6 @@ def _central(periods, m, f):
     d = (at(h) - at(-h)) / (2.0 * h)
     d2 = (at(h / 2) - at(-h / 2)) / h
     return (4.0 * d2 - d) / 3.0
-
-
-def _branch_circle(f, points, m, rho, what):
-    """Circle integral of f around branch point m, radius rho; a failure
-    names the branch point."""
-    try:
-        return integrate_circle(f, points[m], rho, phase=_CIRCLE_PHASE)
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(
-            f"{what} circle at branch point {m}: {exc}") from exc
 
 
 # -- exact variations of the period data ------------------------------------
@@ -95,9 +84,7 @@ def b_derivative_sheet_sum(periods, m):
         v = periods.differentials(zs)
         return 2.0 * np.einsum("an,bn->abn", v, v)
 
-    points = periods.curve.points
-    return _branch_circle(f, points, m, _circle_radius(points, m),
-                          "period-derivative")
+    return branch_circle(f, periods.curve.points, m, "period-derivative")
 
 
 def differential_variation_check(sol, m, at):
@@ -113,18 +100,16 @@ def differential_variation_check(sol, m, at):
     pd = kernel.periods
     z = complex(at)
     fd = _central(pd, m, lambda moved, s: moved.differentials(z)[:, 0])
-    rho = _circle_radius(pd.curve.points, m)
-    _, abel = _circle_abel(pd, m, rho, lambda w: kernel.abel((w, 1)))
     Uz = kernel.abel((z, 1))[:, None]
     vz = pd.differentials(z)[:, 0]
 
     def f(zs):
-        v, U = pd.differentials(zs), abel(zs)
+        v, U = pd.differentials(zs), pd.abel_near_branch(m, zs)
         H = kernel.log_hess_odd(U - Uz) + kernel.log_hess_odd(U + Uz)
         return -v * np.einsum("an,abn,b->n", v, H, vz)
 
-    ex = _branch_circle(f, pd.curve.points, m, rho,
-                        "differential-variation") / (2j * np.pi)
+    ex = branch_circle(f, pd.curve.points, m,
+                       "differential-variation") / (2j * np.pi)
     return float(np.max(np.abs(fd - ex)))
 
 
@@ -161,22 +146,20 @@ class HamiltonianSet:
 def bergmann_pair_residue(kernel, m):
     """Residue at branch point m of the kernel paired across the two
     sheets over the same base point.  The integrand ignores lattice shifts
-    of U, so the circle takes one routed Abel value and hops in batch.
+    of U, so the circle hops out of the branch point's Abel value in batch.
     Each kernel context computes the residue of a branch point once."""
     if m in kernel._pair_residues:
         return kernel._pair_residues[m]
     pd = kernel.periods
-    rho = _circle_radius(pd.curve.points, m)
-    _, abel = _circle_abel(pd, m, rho, lambda w: kernel.abel((w, 1)))
 
     def f(zs):
         # w((z, 1), (z, 2)) with v(z, 2) = -v(z, 1) and U(z, 2) = -U(z, 1)
         v = pd.differentials(zs)
-        H = kernel.log_hess_odd(2.0 * abel(zs))
+        H = kernel.log_hess_odd(2.0 * pd.abel_near_branch(m, zs))
         return np.einsum("an,abn,bn->n", v, H, v)
 
-    out = _branch_circle(f, pd.curve.points, m, rho,
-                         "kernel pair-residue") / (2j * np.pi)
+    out = branch_circle(f, pd.curve.points, m,
+                        "kernel pair-residue") / (2j * np.pi)
     kernel._pair_residues[m] = out
     return out
 

@@ -26,7 +26,6 @@ from .errors import (
     RelationViolated,
 )
 from .geometry import split_polyline
-from .quadrature import _gl_nodes
 from .theta import (ThetaChar, find_odd_nonsingular_char, half_characteristics,
                     theta, theta_derivs)
 
@@ -111,40 +110,6 @@ def even_subset_characteristics(periods):
     return periods._even_subsets
 
 
-def sampled_path_integral(periods, vertices, f, closed=False, order=24):
-    """Integral of f(z, U(z), sheet_sign) along a polyline on the surface.
-
-    The Abel map is carried along the path: chunk endpoints get cumulative
-    values, Gauss nodes inside a chunk get theirs by a short nested rule.
-    Suited to kernel integrands, which need U at every node.
-    """
-    pd = periods
-    pieces, _ = split_polyline(pd.curve.cuts, vertices, closed=closed)
-    x, wts = _gl_nodes(order)
-    xi, wi = _gl_nodes(12)
-    U = pd.abel(vertices[0], sheet=1)
-    step = 0.15 * pd.curve.min_separation
-    total = 0.0 + 0.0j
-    for z0, z1, sign in pieces:
-        n_chunks = max(1, int(np.ceil(abs(z1 - z0) / step)))
-        for c in range(n_chunks):
-            a = z0 + (z1 - z0) * c / n_chunks
-            b = z0 + (z1 - z0) * (c + 1) / n_chunks
-            mid, h = 0.5 * (a + b), 0.5 * (b - a)
-            nodes = mid + h * x
-            # Abel values at the Gauss nodes, each from the chunk start
-            Un = np.empty((len(nodes), pd.curve.genus), dtype=complex)
-            for k, zn in enumerate(nodes):
-                mm, hh = 0.5 * (a + zn), 0.5 * (zn - a)
-                vv = pd.differentials(mm + hh * xi, sign)
-                Un[k] = U + hh * (vv @ wi)
-            total += h * np.sum([wts[k] * f(nodes[k], Un[k], sign)
-                                 for k in range(len(nodes))])
-            vv = pd.differentials(mid + h * x, sign)
-            U = U + h * (vv @ wts)
-    return total
-
-
 class KernelContext:
     """Kernel machinery of one curve and one twist characteristic.
 
@@ -167,7 +132,6 @@ class KernelContext:
         if abs(self.theta0) < 1e-8 * scale:
             raise CharOnThetaDivisor(
                 "theta constant of the twist characteristic vanishes")
-        self._U_cache = {}
         # isomonodromy.bergmann_pair_residue values, by branch index
         self._pair_residues = {}
 
@@ -196,11 +160,9 @@ class KernelContext:
         return np.sqrt(self.h_squared(lam, sheet))
 
     def abel(self, point):
-        """Abel value of (lambda, sheet); sheet 2 negates the sheet-1 value."""
-        z = complex(point[0])
-        if z not in self._U_cache:
-            self._U_cache[z] = self.periods.abel(z, sheet=1)
-        return self._U_cache[z] if int(point[1]) == 1 else -self._U_cache[z]
+        """Abel value of (lambda, sheet); sheet 2 negates the sheet-1 value,
+        which the period data keeps."""
+        return self.periods.abel(point[0], sheet=int(point[1]))
 
     # -- kernels ---------------------------------------------------------
 
@@ -238,17 +200,6 @@ class KernelContext:
         vP = self.periods.differentials(P[0], _sheet_sign(P[1]))[:, 0]
         vQ = self.periods.differentials(Q[0], _sheet_sign(Q[1]))[:, 0]
         return -vP @ self.log_hess_odd(zeta) @ vQ
-
-    def integrate_bergmann_over_loop(self, P, vertices):
-        """Integral of w(P, .) over a closed loop in the second argument."""
-        UP = self.abel(P)
-        vP = self.periods.differentials(P[0], _sheet_sign(P[1]))[:, 0]
-
-        def f(z, Uz, sign):
-            vQ = self.periods.differentials(z, sign)[:, 0]
-            return -vP @ self.log_hess_odd(UP - Uz) @ vQ
-
-        return sampled_path_integral(self.periods, vertices, f, closed=True)
 
     def fay_residual(self, xs, ys):
         """Relative defect of the determinant identity for the kernel.

@@ -22,10 +22,12 @@ logarithmic derivative around the branch points.
 
 Psi_lambda Psi^-1 does not depend on the germ: another lattice shift of
 the Abel value or spinor sign multiplies Psi on the right by a constant
-matrix, which cancels.  So a residue circle routes one germ, at one node;
-sheet-tracked hops out of the branch point give every node its Abel value,
-the spinors take principal values, and the circle is assembled in batch
-by the same stacked assembler that serves single points.
+matrix, which cancels.  So residues, Hamiltonians and ``ode_matrix`` route
+no germ, and lambda_0 enters them only through U(lambda_0).  ``ode_matrix``
+takes the Abel value the period data keeps for its point; a residue circle
+takes sheet-tracked hops out of the kept value at its branch point.  The
+spinors take principal values, and both are assembled by the same stacked
+assembler that serves Psi.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ import numpy as np
 
 from .covering import validate_quasi_perm
 from .errors import (InconsistentLayout, LatticeExtractionFailed,
-                     LoopConstructionFailed, QuadratureFailure, RoutingFailure,
-                     SingularPoint)
+                     LoopConstructionFailed, RoutingFailure, SingularPoint)
 from .geometry import point_segment_distance, split_polyline
-from .hyperelliptic import _CIRCLE_PHASE, _circle_node, _circle_radius
+from .hyperelliptic import branch_circle
 from .kernels import KernelContext
-from .quadrature import integrate_circle, integrate_pieces
+from .quadrature import integrate_pieces
 # theta itself is not called here; the benchmark tracer patches every
 # `from .x import y` binding and asserts that this one exists
 from .theta import theta, theta_derivs  # noqa: F401
@@ -58,15 +59,6 @@ _SPUR_WIDENINGS = (1.0, 1.25, 0.8, 0.65)
 # fan-correct side of every other point; nonzero fallbacks only move a
 # chord that grazes a cut, and the splice side stays order-controlled.
 _ENTRY_SKEWS = (0.0, 0.35, -0.35, 0.7)
-
-
-def _circle_abel(periods, m, rho, routed):
-    """Reference node of the circle of radius rho around branch point m, and
-    the sheet-1 Abel values (g, N), up to lattice vectors, of nodes zs on it,
-    hopped from the value ``routed`` gives at that node when a batch runs."""
-    z_ref = _circle_node(periods.curve.points, m, rho)
-    return z_ref, lambda zs: periods.abel_near_branch(m, zs, z_ref,
-                                                      routed(z_ref))
 
 
 @dataclass
@@ -164,9 +156,12 @@ class RHSolution:
         self._germ_cache[key] = out
         return out
 
-    def _check_regular(self, z):
+    def _check_regular(self, z, derivative=False):
         if min(abs(z - p) for p in self.curve.points) < 1e-9 * self.curve.scale:
             raise SingularPoint(f"evaluation at a branch point ({z:.6g})")
+        if derivative and abs(z - self.lambda0) < 1e-9 * self.curve.scale:
+            raise SingularPoint(
+                "analytic derivative is assembled away from the basepoint")
 
     # -- evaluation -------------------------------------------------------
 
@@ -217,39 +212,50 @@ class RHSolution:
     def psi_pair(self, lam):
         """Matrix and its analytic lambda derivative in one pass."""
         z = complex(lam)
-        self._check_regular(z)
-        if abs(z - self.lambda0) < 1e-9 * self.curve.scale:
-            raise SingularPoint(
-                "analytic derivative is assembled away from the basepoint")
+        self._check_regular(z, derivative=True)
         U1, h1, h2, _ = self._germ(z)
         psi, dpsi = self._assemble([z], U1[:, None], (h1, h2))
         return psi[0], dpsi[0]
 
-    def ode_matrix(self, lam):
-        """Logarithmic derivative; a rational function with simple poles
-        at the branch points, independent of germ conventions."""
-        psi, dpsi = self.psi_pair(lam)
+    def _log_derivative(self, zs, U1):
+        """Psi_lambda Psi^-1, (N, 2, 2), at points zs (N,) from their sheet-1
+        Abel values U1 (g, N), with principal spinors."""
+        hs = (self.kc.h(zs, 1), self.kc.h(zs, 2))
+        psi, dpsi = self._assemble(zs, U1, hs)
         return dpsi @ np.linalg.inv(psi)
 
-    def circle_log_derivative(self, n, rho):
-        """Logarithmic derivative, (2, 2, N), at N points on the circle of
-        radius rho around branch point n.  One germ, routed to the first node
-        by ``ode_matrix``, serves them all and checks each batch there."""
-        z_ref, abel = _circle_abel(self.periods, n, rho,
-                                   lambda z: self._germ_cache[complex(z)][0])
-        ref = self.ode_matrix(z_ref)    # routes the germ the hops start from
+    def ode_matrix(self, lam):
+        """Logarithmic derivative; a rational function with simple poles
+        at the branch points, independent of germ conventions, so it is
+        assembled from the Abel value the period data keeps for lam."""
+        z = complex(lam)
+        self._check_regular(z, derivative=True)
+        return self._log_derivative([z], self.periods.abel(z)[:, None])[0]
+
+    def circle_log_derivative(self, n):
+        """Logarithmic derivative, (2, 2, N), at points zs (N,) near branch
+        point n, from Abel values hopped out of U(lambda_n).
+
+        The first batch is checked at its first node against ``ode_matrix``
+        there, which catches a batch that disagrees with the single-point
+        assembly.  It cannot catch a hop that ends on the wrong sheet: at
+        the default radius the first node is the one U(lambda_n) was hopped
+        back from, so a sheet error of that hop cancels there.  The per-node
+        oracle tests and the hop's own ``QuadratureFailure`` catch those."""
+        checked = []
 
         def f(zs):
-            zs = np.append(zs, z_ref)
-            U1 = abel(zs)
-            hs = (self.kc.h(zs, 1), self.kc.h(zs, 2))
-            psi, dpsi = self._assemble(zs, U1, hs)
-            out = np.moveaxis(dpsi @ np.linalg.inv(psi), 0, -1)
-            err = np.max(np.abs(out[:, :, -1] - ref))
-            if not err <= 1e-10 * max(1.0, np.max(np.abs(ref))):
-                raise LatticeExtractionFailed(
-                    f"circle at branch point {n} misses its germ by {err:.2e}")
-            return out[:, :, :-1]
+            out = self._log_derivative(zs,
+                                       self.periods.abel_near_branch(n, zs))
+            if not checked:
+                ref = self.ode_matrix(zs[0])
+                err = np.max(np.abs(out[0] - ref))
+                if not err <= 1e-10 * max(1.0, np.max(np.abs(ref))):
+                    raise LatticeExtractionFailed(
+                        f"circle at branch point {n} misses ode_matrix at its "
+                        f"first node by {err:.2e}")
+                checked.append(err)
+            return np.moveaxis(out, 0, -1)
 
         return f
 
@@ -457,19 +463,12 @@ class RHSolution:
         by trapezoid sums on a circle, doubled until stable; germ-free, as
         another germ multiplies Psi on the right by a constant matrix."""
         key = (n, float(radius_factor))
-        if key in self._residue_cache:
-            return self._residue_cache[key]
-        p = self.curve.points[n]
-        rho = _circle_radius(self.curve.points, n, radius_factor)
-        f = self.circle_log_derivative(n, rho)
-        try:
-            cur = integrate_circle(lambda zs: f(zs) / (2j * np.pi), p, rho,
-                                   tol=1e-8, max_n=4096, phase=_CIRCLE_PHASE)
-        except QuadratureFailure as exc:
-            raise QuadratureFailure(
-                f"residue circle at branch point {n}: {exc}") from exc
-        self._residue_cache[key] = cur
-        return cur
+        if key not in self._residue_cache:
+            f = self.circle_log_derivative(n)
+            self._residue_cache[key] = branch_circle(
+                lambda zs: f(zs) / (2j * np.pi), self.curve.points, n,
+                "residue", radius_factor, tol=1e-8, max_n=4096)
+        return self._residue_cache[key]
 
     def residues(self):
         mats = np.array([self.residue(n)

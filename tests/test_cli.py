@@ -223,17 +223,17 @@ def test_verify_computes_each_curve_once(monkeypatch, genus, distinct):
         scans.append(periods)
         return riemann_constant(periods)
 
-    circle = iso_mod._branch_circle
+    circle = iso_mod.branch_circle
 
-    def circling(f, points, m, rho, what):
+    def circling(f, points, m, what, *args, **kwargs):
         if what == "kernel pair-residue":
             pair_circles.append(m)
-        return circle(f, points, m, rho, what)
+        return circle(f, points, m, what, *args, **kwargs)
 
     for mod in (cli_mod, hyp_mod, iso_mod):
         monkeypatch.setattr(mod, "compute_periods", counting)
     monkeypatch.setattr(ker_mod, "riemann_constant", scanning)
-    monkeypatch.setattr(iso_mod, "_branch_circle", circling)
+    monkeypatch.setattr(iso_mod, "branch_circle", circling)
     assert main(["verify", "--curve", str(SAMPLES / f"curve_g{genus}.json"),
                  "--char", str(SAMPLES / f"char_g{genus}.json"),
                  "--suite", "all", "--output", os.devnull]) == 0

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rhtheta.hyperelliptic as hyp
 import rhtheta.isomonodromy as iso
 import rhtheta.kernels as ker_mod
 from rhtheta.cli import main
@@ -130,12 +131,15 @@ def test_circle_failures_name_the_branch_point(sol1, monkeypatch):
         raise QuadratureFailure(
             f"circle integral at {center:.4g} (radius {radius:.3g}) stalled")
 
-    monkeypatch.setattr(iso, "integrate_circle", stalled)
-    # a fresh kernel context, whose pair residues are not yet memoized
+    monkeypatch.setattr(hyp, "integrate_circle", stalled)
+    # a fresh kernel context and solution, whose pair residues and residues
+    # are not yet memoized; all four circles go through one helper
     kc = KernelContext(sol1.periods, sol1.kc.char)
+    fresh = RHSolution(sol1.periods, None, sol1.lambda0, kernel=kc)
     for call in (lambda: iso.b_derivative_sheet_sum(sol1.periods, 2),
                  lambda: iso.differential_variation_check(kc, 2, 0.9 + 1.8j),
-                 lambda: iso.bergmann_pair_residue(kc, 2)):
+                 lambda: iso.bergmann_pair_residue(kc, 2),
+                 lambda: fresh.residue(2)):
         with pytest.raises(QuadratureFailure,
                            match="circle at branch point 2: circle integral "
                                  "at 2[+]0j") as info:

@@ -6,6 +6,7 @@ import pytest
 
 import rhtheta.kernels as ker_mod
 from rhtheta.errors import CharOnThetaDivisor, CoincidentPoints
+from rhtheta.geometry import split_polyline
 from rhtheta.hyperelliptic import (HyperellipticCurve, compute_periods,
                                    load_curve)
 from rhtheta.isomonodromy import thomae_ratios
@@ -14,6 +15,7 @@ from rhtheta.kernels import (
     even_subset_characteristics,
     riemann_constant,
 )
+from rhtheta.quadrature import _gl_nodes
 from rhtheta.theta import ThetaChar, half_characteristics, theta
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -124,16 +126,63 @@ def test_bergmann_double_pole(ctx2):
     assert abs(rich - 1.0) < 1e-6
 
 
+def sampled_path_integral(periods, vertices, f, closed=False, order=24):
+    """Integral of f(z, U(z), sheet_sign) along a polyline on the surface.
+
+    The Abel map is carried along the path: chunk endpoints get cumulative
+    values, Gauss nodes inside a chunk get theirs by a short nested rule.
+    Suited to kernel integrands, which need U at every node.
+    """
+    pd = periods
+    pieces, _ = split_polyline(pd.curve.cuts, vertices, closed=closed)
+    x, wts = _gl_nodes(order)
+    xi, wi = _gl_nodes(12)
+    U = pd.abel(vertices[0], sheet=1)
+    step = 0.15 * pd.curve.min_separation
+    total = 0.0 + 0.0j
+    for z0, z1, sign in pieces:
+        n_chunks = max(1, int(np.ceil(abs(z1 - z0) / step)))
+        for c in range(n_chunks):
+            a = z0 + (z1 - z0) * c / n_chunks
+            b = z0 + (z1 - z0) * (c + 1) / n_chunks
+            mid, h = 0.5 * (a + b), 0.5 * (b - a)
+            nodes = mid + h * x
+            # Abel values at the Gauss nodes, each from the chunk start
+            Un = np.empty((len(nodes), pd.curve.genus), dtype=complex)
+            for k, zn in enumerate(nodes):
+                mm, hh = 0.5 * (a + zn), 0.5 * (zn - a)
+                vv = pd.differentials(mm + hh * xi, sign)
+                Un[k] = U + hh * (vv @ wi)
+            total += h * np.sum([wts[k] * f(nodes[k], Un[k], sign)
+                                 for k in range(len(nodes))])
+            vv = pd.differentials(mid + h * x, sign)
+            U = U + h * (vv @ wts)
+    return total
+
+
+def integrate_bergmann_over_loop(ctx, P, vertices):
+    """Integral of w(P, .) over a closed loop in the second argument."""
+    UP = ctx.abel(P)
+    vP = ctx.periods.differentials(P[0], 1.0 if P[1] == 1 else -1.0)[:, 0]
+
+    def f(z, Uz, sign):
+        vQ = ctx.periods.differentials(z, sign)[:, 0]
+        return -vP @ ctx.log_hess_odd(UP - Uz) @ vQ
+
+    return sampled_path_integral(ctx.periods, vertices, f, closed=True)
+
+
 def test_bergmann_periods(ctx2):
     # integrating the second argument around a_k kills the kernel; around
-    # b_k it produces 2 pi i v_k at the first argument
+    # b_k it produces 2 pi i v_k at the first argument; the oracle above
+    # carries the Abel map along each loop node by node
     pd = ctx2.periods
     P = (4.1 + 2.7j, 1)   # far from every loop: no pole nearby
     vP = pd.differentials(P[0], 1.0 if P[1] == 1 else -1.0)[:, 0]
     for k in range(pd.curve.genus):
-        a_int = ctx2.integrate_bergmann_over_loop(P, pd.a_loop(k))
+        a_int = integrate_bergmann_over_loop(ctx2, P, pd.a_loop(k))
         assert abs(a_int) < 1e-8
-        b_int = ctx2.integrate_bergmann_over_loop(P, pd.b_loops[k])
+        b_int = integrate_bergmann_over_loop(ctx2, P, pd.b_loops[k])
         assert abs(b_int - 2j * np.pi * vP[k]) < 1e-7 * max(1.0, abs(vP[k]))
 
 

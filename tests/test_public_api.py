@@ -6,7 +6,8 @@ each public method, must be used somewhere in ``src/``, ``tests/`` or
 appears in a comment or a docstring alone is still dead.  Error types are
 classes of ``errors.py`` and are covered by the same rule.  Likewise every
 name a module imports must occur in that module's code, unless its import
-line carries ``# noqa: F401``.
+line carries ``# noqa: F401``.  No module of the package imports a private
+name from another: ``from .x import _name`` is refused.
 """
 
 import ast
@@ -101,3 +102,19 @@ def test_imported_names_are_used():
     unused = [name for path in sorted(PACKAGE.glob("*.py"))
               for name in _unused_imports(path)]
     assert not unused, f"imported names without a use: {unused}"
+
+
+def _private_imports(path):
+    """Private names the module at path imports from another package module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.stem}: from {'.' * node.level}{node.module or ''} "
+            f"import {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_private_names_cross_modules():
+    private = [name for path in sorted(PACKAGE.glob("*.py"))
+               for name in _private_imports(path)]
+    assert not private, f"private names imported across modules: {private}"

@@ -12,8 +12,9 @@ from rhtheta.errors import (InconsistentLayout, LatticeExtractionFailed,
                             NotQuasiPermutation, SingularPoint)
 from rhtheta.geometry import split_polyline
 from rhtheta.hyperelliptic import (_CIRCLE_PHASE, HyperellipticCurve,
-                                   compute_periods, load_curve)
-from rhtheta.kernels import KernelContext
+                                   PeriodData, compute_periods, load_curve)
+from rhtheta.isomonodromy import hamiltonians
+from rhtheta.kernels import KernelContext, even_subset_characteristics
 from rhtheta.quadrature import integrate_circle
 from rhtheta.rh_solver import PsiEvaluation, RHSolution
 from rhtheta.theta import ThetaChar
@@ -374,7 +375,8 @@ def test_residue_radius_independence(sol1):
 
 
 def _per_node_residue(sol, n, radius_factor):
-    # reference: every node routes its own germ through ode_matrix
+    # reference: ode_matrix at every node, each with its own Abel route
+    # from the anchor, no hops
     p = sol.curve.points[n]
     rho = radius_factor * min(abs(p - q) for i, q in
                               enumerate(sol.curve.points) if i != n)
@@ -420,7 +422,7 @@ def test_residues_of_a_translated_curve(sol1):
         assert np.max(np.abs(eig - np.array([-0.25, 0.25]))) < 1e-10
 
 
-def test_residues_route_one_germ_per_branch_point(sol2, monkeypatch):
+def test_residues_and_ode_matrix_route_no_germ(sol2, monkeypatch):
     fresh = RHSolution(sol2.periods, None, sol2.lambda0, kernel=sol2.kc)
     calls = []
     germ = RHSolution._germ
@@ -431,7 +433,28 @@ def test_residues_route_one_germ_per_branch_point(sol2, monkeypatch):
 
     monkeypatch.setattr(RHSolution, "_germ", counted)
     fresh.residues()
-    assert 0 < len(calls) <= len(fresh.curve.points)
+    fresh.ode_matrix(0.7 - 1.3j)
+    assert calls == []
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_one_abel_route_per_branch_point(genus, monkeypatch):
+    # residues, the Riemann-constant scan, the subset characteristics and
+    # the Hamiltonians read one kept Abel value per branch point, each
+    # hopped back from its circle's first node, which is routed once
+    sol = _sample_solution(genus)
+    routes = []
+    route = PeriodData.sheet1_route
+
+    def counted(self, z0, z1):
+        routes.append(z1)
+        return route(self, z0, z1)
+
+    monkeypatch.setattr(PeriodData, "sheet1_route", counted)
+    sol.residues()
+    even_subset_characteristics(sol.periods)
+    hamiltonians(sol)
+    assert len(routes) == len(sol.curve.points)
 
 
 @pytest.mark.parametrize("genus", [1, 2])
@@ -440,17 +463,17 @@ def test_residues_evaluate_64_nodes_per_branch_point(genus, monkeypatch):
     # 32 nodes, then the 32 new odd nodes of the 64-node rule
     sol = _sample_solution(genus)
     nodes = {}
-    circle = rh_mod.integrate_circle
+    circle = rh_mod.branch_circle
 
-    def counted(f, center, *args, **kwargs):
+    def counted(f, points, m, *args, **kwargs):
         def g(zs):
-            nodes[center] = nodes.get(center, 0) + len(zs)
+            nodes[m] = nodes.get(m, 0) + len(zs)
             return f(zs)
-        return circle(g, center, *args, **kwargs)
+        return circle(g, points, m, *args, **kwargs)
 
-    monkeypatch.setattr(rh_mod, "integrate_circle", counted)
+    monkeypatch.setattr(rh_mod, "branch_circle", counted)
     sol.residues()
-    assert nodes == {p: 64 for p in sol.curve.points}
+    assert nodes == {m: 64 for m in range(len(sol.curve.points))}
 
 
 def test_residue_circle_checks_its_routed_node(sol1, monkeypatch):
