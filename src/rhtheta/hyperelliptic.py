@@ -16,9 +16,9 @@ Conventions fixed here and relied on everywhere else:
 * The Abel map is based at the first sorted branch point and is kept on the
   universal cover: continuation along a path never folds values back into
   the period lattice.  Every route starts one hop out, at the reference
-  node of branch point 0's residue circle.  A branch point's value is
-  hopped back from the reference node of its own circle, and points on a
-  circle are hopped out of that value.  ``PeriodData.abel`` keeps every
+  node of branch point 0 (``reference_node``).  A branch point's value is
+  hopped back from its own reference node, and points on a circle around
+  it are hopped out of that value.  ``PeriodData.abel`` keeps every
   sheet-1 value it computes, so all callers on one curve share one value
   per point and per branch point.
 """
@@ -57,33 +57,30 @@ from .theta import ThetaContext
 # of the minimal branch-point separation.  Each failure rebuilds the whole
 # loop family with fresh clearances so loop pairs stay transversal.
 _LOOP_LADDER = ((0.05, 1.0), (0.043, 0.71), (0.058, 1.31), (0.037, 0.89))
-# Phase of the reference node, the first node of every circle around a
-# branch point (``branch_circle``), so no node starts on a cut line.  Abel
-# routes start at the node of the default radius around branch point 0, and
-# each branch-point value is hopped back from its own node there, so the
-# first node of a default circle already has its Abel value.
+# Phase of a branch point's reference node, the start of its
+# ``branch_circle``, off cut lines.  Abel routes start at branch point 0's
+# node, each branch-point value is hopped back from its own node, and the
+# residue check evaluates Psi_lambda Psi^-1 there, on the kept value.
 _CIRCLE_PHASE = 0.37
 
 
-def _circle_radius(points, m, factor=0.25):
-    """Radius of a circle around branch point m: factor times the distance
-    to the nearest other branch point."""
-    return factor * min(abs(points[m] - q)
-                        for i, q in enumerate(points) if i != m)
+def _circle_radius(points, m):
+    """A quarter of the distance from branch point m to the nearest other."""
+    return 0.25 * min(abs(points[m] - q) for q in np.delete(points, m))
 
 
-def _circle_node(points, m):
-    """Reference node of the default circle around branch point m."""
+def reference_node(points, m):
+    """Point at radius ``_circle_radius`` and phase ``_CIRCLE_PHASE`` around
+    branch point m, the first node of its ``branch_circle``."""
     return points[m] + _circle_radius(points, m) * np.exp(1j * _CIRCLE_PHASE)
 
 
-def branch_circle(f, points, m, what, factor=0.25, tol=1e-11, max_n=16384):
-    """Counterclockwise integral of f (see ``integrate_circle``) on the circle
-    around branch point m of radius ``_circle_radius(points, m, factor)``,
-    nodes from the reference phase; a failure names the branch point."""
+def branch_circle(f, points, m, what):
+    """Counterclockwise integral of f (see ``integrate_circle``) around branch
+    point m through its reference node; a failure names the branch point."""
     try:
-        return integrate_circle(f, points[m], _circle_radius(points, m, factor),
-                                tol=tol, max_n=max_n, phase=_CIRCLE_PHASE)
+        return integrate_circle(f, points[m], _circle_radius(points, m),
+                                phase=_CIRCLE_PHASE)
     except QuadratureFailure as exc:
         raise QuadratureFailure(
             f"{what} circle at branch point {m}: {exc}") from exc
@@ -301,11 +298,10 @@ class PeriodData:
                 f"on the way to {zs.size} point(s): {', '.join(shown)}") from exc
 
     def anchor_point(self):
-        """Start of every ``abel`` route and its Abel value, computed on first
-        use: the reference node of branch point 0's residue circle, reached
-        by one hop from the base point."""
+        """Start of every ``abel`` route, branch point 0's reference node,
+        and its Abel value, one hop from the base point; kept."""
         if self._anchor is None:
-            z = _circle_node(self.curve.points, 0)
+            z = reference_node(self.curve.points, 0)
             dU, sign = self._hop(0, [z])
             self._anchor = (z, sign[0] * dU[:, 0])
         return self._anchor
@@ -329,26 +325,27 @@ class PeriodData:
         Interior points are reached on sheet 1 by a cut-avoiding route from
         ``anchor_point``; the sheet-2 value is the exact negative (the
         hyperelliptic involution fixes the basepoint).  branch_index selects a
-        branch point, reached by a straight hop back from the reference node of
-        its residue circle, outside every route clearance; the value agrees
-        with any other route up to a lattice vector.  Each value is computed
-        once per point or branch point and kept.
+        branch point, reached by a straight hop back from its reference node,
+        outside every route clearance; the value agrees with any other route
+        up to a lattice vector.  Each value is computed once per point or
+        branch point and kept.
         """
         key = (complex(lam) if branch_index is None
                else ("branch", int(branch_index)))
         U = self._abel.get(key)
         if U is None:
             if branch_index is not None:
-                z = _circle_node(self.curve.points, key[1])
+                z = reference_node(self.curve.points, key[1])
                 dU, sign = self._hop(key[1], [z])
                 U = sign[0] * self.abel(z) - dU[:, 0]
             else:
-                z0, base = self.anchor_point()
-                path = self.sheet1_route(z0, key)
-                dU, end_sign = self.continue_abel(path, closed=False)
-                if end_sign != 1.0:
-                    raise LoopConstructionFailed("abel route crossed a cut")
-                U = base + dU
+                z0, U = self.anchor_point()
+                if key != z0:
+                    path = self.sheet1_route(z0, key)
+                    dU, end_sign = self.continue_abel(path, closed=False)
+                    if end_sign != 1.0:
+                        raise LoopConstructionFailed("abel route crossed a cut")
+                    U = U + dU
             U.flags.writeable = False
             U = self._abel.setdefault(key, U)
         return U if sheet == 1 or branch_index is not None else -U

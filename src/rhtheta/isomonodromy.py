@@ -362,25 +362,18 @@ def schlesinger_residuals(sol, m, char_drift=0.0):
     point; any nonzero drift breaks the constancy of the monodromy data
     and must blow the residuals up, which makes it a negative control.
     """
-    kernel = _kernel(sol)
     pd = _periods(sol)
-    curve = pd.curve
-    M = len(curve.points)
-    p0, q0 = kernel.char.arrays()
+    p0, q0 = _kernel(sol).char.arrays()
 
     def residue_stack(moved, s):
         char = ThetaChar(tuple(p0 + char_drift * s), tuple(q0))
-        msol = RHSolution(moved, None, sol.lambda0,
-                          kernel=KernelContext(moved, char))
-        return np.array([msol.residue(n) for n in range(M)])
+        return RHSolution(moved, None, sol.lambda0, kernel=KernelContext(
+            moved, char)).residues().matrices
 
     fd = _central(pd, m, residue_stack)
-    base = [sol.residue(n) for n in range(M)]
-    out = np.empty(M)
-    for n in range(M):
-        rhs = schlesinger_rhs(curve.points, sol.lambda0, base, m, n)
-        out[n] = np.max(np.abs(fd[n] - rhs))
-    return out
+    base = sol.residues().matrices
+    return np.array([np.max(np.abs(fd[n] - schlesinger_rhs(
+        pd.curve.points, sol.lambda0, base, m, n))) for n in range(len(base))])
 
 
 # -- projective connection compatibility --------------------------------------

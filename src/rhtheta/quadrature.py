@@ -1,6 +1,6 @@
 """Adaptive quadrature on straight segments and circles.
 
-All period and residue integrals in this package run through here.  The
+All period and contour integrals in this package run through here.  The
 segment routine is Gauss-Legendre: it doubles the node count until two
 successive approximations agree; when doubling stalls (integrand with
 nearby singularities off the ends of a long segment) it bisects the segment
@@ -13,13 +13,13 @@ The circle routine is a nested trapezoid rule.  The nodes of the 2n-node
 rule are those of the n-node rule plus the n odd nodes between them, so a
 doubling evaluates the integrand only on the new nodes.  On a circle of
 radius rho whose nearest singularity off the centre lies at distance R,
-the error of the n-node rule falls like (rho / R)^n.  The residue circles
-take rho a quarter of the distance to the nearest other branch point, and
-Psi_lambda Psi^-1, rational with poles only at the branch points, then
-has an error falling like 4^-n: 32 nodes already sit at rounding level,
-so the rule starts there and the first doubling confirms it at 64 nodes.
-An integrand with a closer singularity keeps doubling until two
-successive rules agree.
+the error of the n-node rule falls like (rho / R)^n.  The circles of the
+deformation checks in ``isomonodromy`` take rho a quarter of the distance
+to the nearest other branch point, so an integrand whose only other
+singularities are the branch points has an error falling like 4^-n: 32
+nodes already sit at rounding level, so the rule starts there and the
+first doubling confirms it at 64 nodes.  An integrand with a closer
+singularity keeps doubling until two successive rules agree.
 """
 
 from __future__ import annotations

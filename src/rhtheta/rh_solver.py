@@ -17,17 +17,13 @@ point, times the sheet-1 continuation; each path continues h once.
 Monodromy matrices come from continuing both columns around explicit
 basepointed loops; each continued column lands on the other sheet with a
 period-lattice shift and a spinor sign, and those data give the nonzero
-entries in closed form.  Residue matrices are contour integrals of the
-logarithmic derivative around the branch points.
+entries in closed form.  Residue matrices come in closed form from theta
+values and derivatives at the Abel images of the branch points.
 
 Psi_lambda Psi^-1 does not depend on the germ: another lattice shift of
 the Abel value or spinor sign multiplies Psi on the right by a constant
 matrix, which cancels.  So residues, Hamiltonians and ``ode_matrix`` route
-no germ, and lambda_0 enters them only through U(lambda_0).  ``ode_matrix``
-takes the Abel value the period data keeps for its point; a residue circle
-takes sheet-tracked hops out of the kept value at its branch point.  The
-spinors take principal values, and both are assembled by the same stacked
-assembler that serves Psi.
+no germ, and lambda_0 enters them only through U(lambda_0).
 """
 
 from __future__ import annotations
@@ -38,9 +34,10 @@ import numpy as np
 
 from .covering import validate_quasi_perm
 from .errors import (InconsistentLayout, LatticeExtractionFailed,
-                     LoopConstructionFailed, RoutingFailure, SingularPoint)
+                     LoopConstructionFailed, RelationViolated, RoutingFailure,
+                     SingularPoint)
 from .geometry import point_segment_distance, split_polyline
-from .hyperelliptic import branch_circle
+from .hyperelliptic import reference_node
 from .kernels import KernelContext
 from .quadrature import integrate_pieces
 # theta itself is not called here; the benchmark tracer patches every
@@ -135,7 +132,7 @@ class RHSolution:
         self._flip = 1j if abs(self.h0[1] - 1j * self.h0[0]) \
             < abs(self.h0[1] + 1j * self.h0[0]) else -1j
         self._germ_cache = {}
-        self._residue_cache = {}
+        self._residue_matrices = None
 
     # -- germs ----------------------------------------------------------
 
@@ -217,47 +214,15 @@ class RHSolution:
         psi, dpsi = self._assemble([z], U1[:, None], (h1, h2))
         return psi[0], dpsi[0]
 
-    def _log_derivative(self, zs, U1):
-        """Psi_lambda Psi^-1, (N, 2, 2), at points zs (N,) from their sheet-1
-        Abel values U1 (g, N), with principal spinors."""
-        hs = (self.kc.h(zs, 1), self.kc.h(zs, 2))
-        psi, dpsi = self._assemble(zs, U1, hs)
-        return dpsi @ np.linalg.inv(psi)
-
     def ode_matrix(self, lam):
         """Logarithmic derivative; a rational function with simple poles
         at the branch points, independent of germ conventions, so it is
-        assembled from the Abel value the period data keeps for lam."""
+        assembled from the kept Abel value of lam and principal spinors."""
         z = complex(lam)
         self._check_regular(z, derivative=True)
-        return self._log_derivative([z], self.periods.abel(z)[:, None])[0]
-
-    def circle_log_derivative(self, n):
-        """Logarithmic derivative, (2, 2, N), at points zs (N,) near branch
-        point n, from Abel values hopped out of U(lambda_n).
-
-        The first batch is checked at its first node against ``ode_matrix``
-        there, which catches a batch that disagrees with the single-point
-        assembly.  It cannot catch a hop that ends on the wrong sheet: at
-        the default radius the first node is the one U(lambda_n) was hopped
-        back from, so a sheet error of that hop cancels there.  The per-node
-        oracle tests and the hop's own ``QuadratureFailure`` catch those."""
-        checked = []
-
-        def f(zs):
-            out = self._log_derivative(zs,
-                                       self.periods.abel_near_branch(n, zs))
-            if not checked:
-                ref = self.ode_matrix(zs[0])
-                err = np.max(np.abs(out[0] - ref))
-                if not err <= 1e-10 * max(1.0, np.max(np.abs(ref))):
-                    raise LatticeExtractionFailed(
-                        f"circle at branch point {n} misses ode_matrix at its "
-                        f"first node by {err:.2e}")
-                checked.append(err)
-            return np.moveaxis(out, 0, -1)
-
-        return f
+        hs = (self.kc.h(z, 1), self.kc.h(z, 2))
+        psi, dpsi = self._assemble([z], self.periods.abel(z)[:, None], hs)
+        return (dpsi @ np.linalg.inv(psi))[0]
 
     # -- monodromy loops --------------------------------------------------
 
@@ -458,17 +423,60 @@ class RHSolution:
 
     # -- residues ---------------------------------------------------------
 
-    def residue(self, n, radius_factor=0.25):
-        """Residue matrix of the logarithmic derivative at branch point n,
-        by trapezoid sums on a circle, doubled until stable; germ-free, as
-        another germ multiplies Psi on the right by a constant matrix."""
-        key = (n, float(radius_factor))
-        if key not in self._residue_cache:
-            f = self.circle_log_derivative(n)
-            self._residue_cache[key] = branch_circle(
-                lambda zs: f(zs) / (2j * np.pi), self.curve.points, n,
-                "residue", radius_factor, tol=1e-8, max_n=4096)
-        return self._residue_cache[key]
+    def _divisor(self):
+        """Mask of the g-1 branch points where Q and theta[*] vanish."""
+        Q = np.abs(self.kc.q_poly(self.curve.points))
+        divisor = Q <= 1e-8 * np.max(Q)
+        if divisor.sum() != self.curve.genus - 1:
+            raise RelationViolated(f"Q vanishes at {divisor.sum()} branch "
+                                   f"points, not {self.curve.genus - 1}")
+        return divisor
+
+    def _closed_residues(self):
+        """Residue matrices (M, 2, 2) from theta data at U_m = U(lambda_m).
+
+        With x^2 = lambda - lambda_m, row r of column 1 of Psi is h0_r h
+        (lambda - lambda0) / theta0 times theta[p,q] / theta[*] at U -/+ U0,
+        U = U_m + alpha c x + O(x^3), c = ``numerators(lambda_m)``.  With T,
+        S the values of theta[p,q], theta[*] at U_m -/+ U0, primes derivatives
+        along c, the quotient is a + alpha b x + O(x^2), a = T/S, b = (T' -
+        a S')/S, and h is x^(-1/2) times an even function.  At the points of
+        ``_divisor`` S = 0: a = T/S', b = (T' - a S''/2)/S', the expansion is
+        divided by alpha x and h is x^(1/2) times one.  Column 2 is column 1
+        at -x up to a constant; lattice shifts only rescale columns.  So Psi
+        = G (lambda - lambda_m)^diag(-1/4, 1/4) K e, G holomorphic, K constant,
+        e scalar, G(lambda_m) = N = [[h0_1 a_0, h0_1 b_0], [h0_2 a_1, h0_2
+        b_1]] up to column scales, and the residue is N diag(-1/4, 1/4) N^-1
+        (Kitaev & Korotkin, IMRN 1998; Deift, Its, Kapaev & Zhou, CMP 1999)."""
+        if self._residue_matrices is None:
+            kc, pd, pts = self.kc, self.periods, self.curve.points
+            divisor = self._divisor()
+            Um = np.stack([pd.abel(branch_index=m) for m in range(len(pts))], 1)
+            c = np.stack([pd.numerators(p) for p in pts], 1)
+            N = np.empty((len(pts), 2, 2), dtype=complex)
+            for r, sgn in enumerate((1.0, -1.0)):
+                zeta = Um - sgn * self.U0[:, None]
+                et = theta_derivs(zeta, pd.theta_context, kc.char, order=1)
+                es = theta_derivs(zeta, pd.theta_context, kc.odd_char, order=2)
+                dS = (c * es.grad).sum(axis=0)
+                # first two Taylor coefficients of theta[*] along c
+                s0 = np.where(divisor, dS, es.value)
+                s1 = np.where(divisor, 0.5 * np.einsum("an,abn,bn->n", c,
+                                                       es.hess, c), dS)
+                a = et.value / s0
+                b = ((c * et.grad).sum(axis=0) - a * s1) / s0
+                N[:, r] = self.h0[r] * np.stack([a, b], axis=-1)
+            self._residue_matrices = N * [-0.25, 0.25] @ np.linalg.inv(N)
+        return self._residue_matrices
+
+    def residue(self, n):
+        """Residue matrix of Psi_lambda Psi^-1 at branch point n, checked
+        against ``ode_matrix`` at the reference node of the branch point."""
+        err = self.ode_residual(reference_node(self.curve.points, n))
+        if not err <= 1e-8:
+            raise RelationViolated(f"residues miss ode_matrix at the reference "
+                                   f"node of branch point {n} by {err:.2e}")
+        return self._closed_residues()[n]
 
     def residues(self):
         mats = np.array([self.residue(n)
@@ -479,12 +487,13 @@ class RHSolution:
 
     def ode_residual(self, lam, residue_set=None):
         """Defect of the rational form of the logarithmic derivative at a
-        test point; small values certify the residues and the derivative
-        at once."""
-        if residue_set is None:
-            residue_set = self.residues()
-        z = complex(lam)
-        rational = np.zeros((2, 2), dtype=complex)
-        for n, p in enumerate(self.curve.points):
-            rational += residue_set.matrices[n] / (z - p)
-        return float(np.max(np.abs(self.ode_matrix(z) - rational)))
+        test point, relative to max(1, |Psi_lambda Psi^-1|), with the closed
+        form residues unless a residue set is given; small values certify
+        the residues and the derivative at once."""
+        mats = (self._closed_residues() if residue_set is None
+                else residue_set.matrices)
+        ode = self.ode_matrix(lam)
+        rational = np.einsum("kij,k->ij", mats,
+                             1.0 / (complex(lam) - self.curve.points))
+        return float(np.max(np.abs(ode - rational))
+                     / max(1.0, np.max(np.abs(ode))))

@@ -2,7 +2,7 @@
 
 The sample curves are translated by up to 1e4 and then scaled by 10^-3 to
 10^3, basepoint included.  The period matrix, the monodromy product, the
-residue exponents and the half-period property of the Abel map at the
+residue exponents and sum and the half-period property of the Abel map at the
 branch points must all survive, and no numpy warning may leak.
 """
 
@@ -52,5 +52,7 @@ def test_translation_and_scaling_invariance(genus, shift, log_scale):
     sol = RHSolution(pd, char, scale * (lam0 + shift))
     _, defect, _ = sol.monodromy_product()
     assert defect < 1e-6
-    for eig in sol.residues().exponents:
+    rs = sol.residues()
+    for eig in rs.exponents:
         assert np.max(np.abs(eig - np.array([-0.25, 0.25]))) < 1e-10
+    assert rs.sum_norm < 1e-10

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rhtheta.hyperelliptic as hyp_mod
 import rhtheta.rh_solver as rh_mod
 from rhtheta.cli import _psi_samples
 from rhtheta.covering import validate_quasi_perm
-from rhtheta.errors import (InconsistentLayout, LatticeExtractionFailed,
-                            NotQuasiPermutation, SingularPoint)
+from rhtheta.errors import (InconsistentLayout, NotQuasiPermutation,
+                            RelationViolated, SingularPoint)
 from rhtheta.geometry import split_polyline
 from rhtheta.hyperelliptic import (_CIRCLE_PHASE, HyperellipticCurve,
                                    PeriodData, compute_periods, load_curve)
@@ -368,15 +369,9 @@ def test_residues(sol1):
     assert np.max(np.abs(rs.matrices[0] - want)) < 1e-10
 
 
-def test_residue_radius_independence(sol1):
-    a = sol1.residue(1, radius_factor=0.25)
-    b = sol1.residue(1, radius_factor=0.125)
-    assert np.max(np.abs(a - b)) < 1e-8
-
-
 def _per_node_residue(sol, n, radius_factor):
-    # reference: ode_matrix at every node, each with its own Abel route
-    # from the anchor, no hops
+    # oracle: a trapezoid circle of ode_matrix, each node with its own Abel
+    # route from the anchor, no hops and no theta data at branch points
     p = sol.curve.points[n]
     rho = radius_factor * min(abs(p - q) for i, q in
                               enumerate(sol.curve.points) if i != n)
@@ -385,19 +380,47 @@ def _per_node_residue(sol, n, radius_factor):
         / (2j * np.pi), p, rho, tol=1e-8, max_n=4096, phase=_CIRCLE_PHASE)
 
 
+def _solution(points, char, lam0):
+    return RHSolution(compute_periods(HyperellipticCurve(points)),
+                      ThetaChar(*char), lam0)
+
+
+# the curves of the residue oracle: a foreign cut crosses the circle around
+# the branch point at 0; a translated g1 sample; the seeded g3 s = 0 curve
+# of the benchmark workloads, written out
+_FOREIGN_CUT = ([-2.0, 0.0, 0.1 - 1j, 0.1 + 1j], ((0.13,), (-0.21,)),
+                -1.0 + 1.5j)
+_TRANSLATED_G1 = ([10.0, 11.0, 12.0, 13.0], ((0.11,), (-0.23,)), 11.5 + 1.1j)
+_SEEDED_G3 = (
+    [1.058018751186387 + 1.52966235579771j,
+     -0.2300350610643589 + 1.726115268436251j,
+     -0.3627404530135818 - 1.6464447174986652j,
+     1.866294164987127 + 1.5799438701291386j,
+     -0.26347262313378916 - 0.030795003559425105j,
+     1.303133193451901 + 0.38907636123889056j,
+     -0.9554320403710492 + 0.6221638461743173j,
+     1.5599019894211645 + 1.0791237675211716j],
+    ((0.04793728246936896, 0.12200008760351133, -0.04837728491767723),
+     (-0.06782409285397162, -0.028400585616101537, -0.2375901696597716)),
+    3.2135409135329795 + 1.3911866856310995j)
+
+
 def test_batched_residues_match_per_node_path(sol1, sol2):
-    for sol in (sol1, sol2):
+    sols = [sol1, sol2] + [_solution(*c) for c in (_FOREIGN_CUT,
+                                                   _TRANSLATED_G1, _SEEDED_G3)]
+    for sol in sols:
+        rs = sol.residues()
+        assert rs.sum_norm < 1e-12
         for rf in (0.25, 0.125):
             for n in range(len(sol.curve.points)):
                 ref = _per_node_residue(sol, n, rf)
-                got = sol.residue(n, radius_factor=rf)
-                assert np.max(np.abs(got - ref)) < 1e-10
+                assert np.max(np.abs(rs.matrices[n] - ref)) < 1e-10
 
 
 def test_residues_across_a_foreign_cut():
-    # the circle around the branch point at 0 has radius 0.25, and 24 of
-    # its 64 radial hops cross the cut [0.1 - i, 0.1 + i]; past the
-    # crossing they must go on on the other sheet
+    # the oracle's circle around the branch point at 0 has radius 0.25, and
+    # 24 of its 64 nodes lie past the cut [0.1 - i, 0.1 + i]; so does the
+    # reference node, whose hop back to the branch point crosses the cut
     pd = compute_periods(HyperellipticCurve([-2.0, 0.0, 0.1 - 1j, 0.1 + 1j]))
     sol = RHSolution(pd, ThetaChar((0.13,), (-0.21,)), -1.0 + 1.5j)
     rs = sol.residues()
@@ -441,7 +464,8 @@ def test_residues_and_ode_matrix_route_no_germ(sol2, monkeypatch):
 def test_one_abel_route_per_branch_point(genus, monkeypatch):
     # residues, the Riemann-constant scan, the subset characteristics and
     # the Hamiltonians read one kept Abel value per branch point, each
-    # hopped back from its circle's first node, which is routed once
+    # hopped back from its reference node, which is routed once; branch
+    # point 0's node is the anchor itself and needs no route
     sol = _sample_solution(genus)
     routes = []
     route = PeriodData.sheet1_route
@@ -454,36 +478,68 @@ def test_one_abel_route_per_branch_point(genus, monkeypatch):
     sol.residues()
     even_subset_characteristics(sol.periods)
     hamiltonians(sol)
-    assert len(routes) == len(sol.curve.points)
+    assert len(routes) == len(sol.curve.points) - 1
 
 
 @pytest.mark.parametrize("genus", [1, 2])
-def test_residues_evaluate_64_nodes_per_branch_point(genus, monkeypatch):
-    # the nested circle rule converges at 64 nodes, each evaluated once:
-    # 32 nodes, then the 32 new odd nodes of the 64-node rule
+def test_residues_take_four_theta_calls_and_no_circle(genus, monkeypatch):
+    # the closed form stacks all branch points into two theta_derivs calls
+    # per sign; the only other evaluations are the node checks, one
+    # ode_matrix call per branch point; no circle and no hop
     sol = _sample_solution(genus)
-    nodes = {}
-    circle = rh_mod.branch_circle
+    M, g = len(sol.curve.points), sol.curve.genus
+    thetas, odes, other = [], [], []
+    in_ode = []
+    derivs, ode = rh_mod.theta_derivs, RHSolution.ode_matrix
 
-    def counted(f, points, m, *args, **kwargs):
-        def g(zs):
-            nodes[m] = nodes.get(m, 0) + len(zs)
-            return f(zs)
-        return circle(g, points, m, *args, **kwargs)
+    def counted_derivs(z, *args, **kwargs):
+        if not in_ode:
+            thetas.append(np.shape(z))
+        return derivs(z, *args, **kwargs)
 
-    monkeypatch.setattr(rh_mod, "branch_circle", counted)
+    def counted_ode(self, lam):
+        odes.append(lam)
+        in_ode.append(lam)
+        try:
+            return ode(self, lam)
+        finally:
+            in_ode.pop()
+
+    def refused(name):
+        return lambda *args, **kwargs: other.append(name)
+
+    monkeypatch.setattr(rh_mod, "theta_derivs", counted_derivs)
+    monkeypatch.setattr(RHSolution, "ode_matrix", counted_ode)
+    monkeypatch.setattr(hyp_mod, "integrate_circle", refused("circle"))
+    monkeypatch.setattr(PeriodData, "abel_near_branch", refused("hop"))
     sol.residues()
-    assert nodes == {m: 64 for m in range(len(sol.curve.points))}
+    assert thetas == [(g, M)] * 4
+    assert len(odes) == M
+    assert other == []
 
 
-def test_residue_circle_checks_its_routed_node(sol1, monkeypatch):
-    # a batch that disagrees with ode_matrix at the routed node is refused
+def test_residue_checks_its_reference_node(sol1, monkeypatch):
+    # residues that disagree with ode_matrix at a branch point's reference
+    # node are refused, naming the branch point
     fresh = RHSolution(sol1.periods, None, sol1.lambda0, kernel=sol1.kc)
     ode = RHSolution.ode_matrix
     monkeypatch.setattr(RHSolution, "ode_matrix",
                         lambda self, z: ode(self, z) + 1e-6)
-    with pytest.raises(LatticeExtractionFailed, match="branch point 2"):
+    with pytest.raises(RelationViolated, match="branch point 2 "):
         fresh.residue(2)
+
+
+def test_regular_formula_at_a_divisor_point_is_refused(monkeypatch):
+    # the g2 sample has one branch point where Q and theta[*] vanish; the
+    # regular formula there misses the node check
+    sol = _sample_solution(2)
+    divisor = sol._divisor()
+    assert np.count_nonzero(divisor) == 1
+    d = int(np.argmax(divisor))
+    monkeypatch.setattr(RHSolution, "_divisor",
+                        lambda self: np.zeros_like(divisor))
+    with pytest.raises(RelationViolated, match=f"branch point {d} "):
+        sol.residue(d)
 
 
 def test_logarithmic_derivative_is_rational(sol1):
