@@ -169,11 +169,6 @@ class HyperellipticCurve:
                 out = out * _pair_factor(arr, a, b)
         return out if np.ndim(lam) else out[0]
 
-    def log_derivative_sum(self, lam):
-        """w'(lam)/w(lam) = (1/2) sum_m 1/(lam - lambda_m)."""
-        lam = np.asarray(lam, dtype=complex)
-        return 0.5 * sum(1.0 / (lam - p) for p in self.points)
-
     def perturb(self, m, h):
         """Curve with branch point m (sorted order) moved by h.
 
@@ -308,15 +303,29 @@ class PeriodData:
 
     def sheet1_route(self, z0, z1):
         """Cut-avoiding polyline between two plain points, with clearance
-        fallbacks for tight configurations."""
+        fallbacks for tight configurations.  When every clearance fails and
+        an end point lies inside the widest one of a branch point, the
+        error names both."""
         last = None
-        for frac in (0.2, 0.13, 0.28, 0.08):
+        fracs = (0.2, 0.13, 0.28, 0.08)
+        for frac in fracs:
             try:
                 return route(z0, z1, self.curve.cuts,
                              margin=frac * self.curve.min_separation,
                              clear_points=self.curve.points)
             except RoutingFailure as exc:
                 last = exc
+        # route keeps legs 0.6 * margin from every branch point
+        clear = 0.6 * self.curve.min_separation * np.array(fracs)
+        for z in (z0, z1):
+            d = np.abs(self.curve.points - z)
+            m = int(np.argmin(d))
+            if d[m] < clear.max():
+                raise RoutingFailure(
+                    f"{last}: end point {z:.4g} lies {d[m]:.3g} from branch "
+                    f"point {m} ({self.curve.points[m]:.4g}), inside the "
+                    f"route clearances {clear.min():.3g} to {clear.max():.3g}"
+                ) from last
         raise last
 
     def abel(self, lam=None, sheet=1, branch_index=None):

@@ -8,7 +8,9 @@ scalar ingredients are
   origin combines with the normalized differentials into the polynomial
   Q(lambda) = sum_beta (A^-1 grad)_beta lambda^(beta-1);
 * the half differential h with h^2 = Q(lambda)/w, fixed per point by the
-  principal square root and continued along paths by sign tracking;
+  principal square root; up to sign h = const * prod_m (lambda -
+  lambda_m)^e_m (``h_exponents``), so a path continues it by its winding
+  about the branch points;
 * the Abel map kept on the universal cover, so theta quotients with
   different characteristics stay consistent between calls.
 """
@@ -25,7 +27,6 @@ from .errors import (
     LoopConstructionFailed,
     RelationViolated,
 )
-from .geometry import split_polyline
 from .theta import (ThetaChar, find_odd_nonsingular_char, half_characteristics,
                     theta, theta_derivs)
 
@@ -125,8 +126,15 @@ class KernelContext:
         ctx = periods.theta_context
         self.odd_char, self.gstar = find_odd_nonsingular_char(ctx)
         # Q(lambda) = sum_beta coeff_beta lambda^beta, coefficients in
-        # ascending order; h^2 = Q/w
+        # ascending order; h^2 = Q/w.  Q and theta[*] vanish at g-1 branch
+        # points, where h has exponent +1/4; it has -1/4 at the others
         self.q_coeffs = periods.C @ self.gstar
+        Q = np.abs(self.q_poly(periods.curve.points))
+        divisor = Q <= 1e-8 * np.max(Q)
+        if divisor.sum() != g - 1:
+            raise RelationViolated(f"Q vanishes at {divisor.sum()} branch "
+                                   f"points, not {g - 1}")
+        self.h_exponents = np.where(divisor, 0.25, -0.25)
         self.theta0 = theta(np.zeros(g), ctx, self.char)
         scale = abs(theta(np.zeros(g), ctx))
         if abs(self.theta0) < 1e-8 * scale:
@@ -142,14 +150,6 @@ class KernelContext:
         out = np.zeros_like(lam)
         for c in self.q_coeffs[::-1]:
             out = out * lam + c
-        return out
-
-    def q_poly_deriv(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        out = np.zeros_like(lam)
-        n = len(self.q_coeffs)
-        for k in range(n - 1, 0, -1):
-            out = out * lam + k * self.q_coeffs[k]
         return out
 
     def h_squared(self, lam, sheet=1):
@@ -227,59 +227,25 @@ class KernelContext:
     # -- h continuation --------------------------------------------------
 
     def continue_h_along(self, pieces):
-        """Track the half differential along sheet tagged pieces.
-
-        Starts from the principal value at the first point and follows the
-        nearest root sample to sample, bisecting on large jumps.  All samples
-        take one call per sheet, bisection points one each.
-        Returns (start value, end value).
-        """
-        z0, _, s0 = pieces[0]
-        start = np.sqrt(self.h_squared(z0, 1 if s0 > 0 else 2))
-        step = 0.15 * self.periods.curve.min_separation
-        samples = []
-        for za, zb, _ in pieces:
-            n0 = max(4, int(np.ceil(abs(zb - za) / step)))
-            # midpoint nodes only: piece boundaries sit on cuts, where the
-            # sheet-tagged square is on a knife edge and both roots are
-            # equidistant from the tracked value
-            samples.append(za + (zb - za) * ((np.arange(n0) + 0.5) / n0))
-        samples[-1] = np.append(samples[-1], pieces[-1][1])
-        sheets = [1 if s > 0 else 2 for _, _, s in pieces]
-        flat = np.concatenate(samples)
-        tag = np.repeat(sheets, [len(zs) for zs in samples])
-        roots = np.empty_like(flat)
-        for sheet in set(sheets):
-            roots[tag == sheet] = np.sqrt(self.h_squared(flat[tag == sheet],
-                                                         sheet))
-        cur, n = start, 0
-        for (za, _, _), sheet, zs in zip(pieces, sheets, samples):
-            stack = list(zip(zs[::-1], roots[n:n + len(zs)][::-1]))
-            n += len(zs)
-            prev_z = za
-            while stack:
-                z, val = stack.pop()
-                best = val if abs(val - cur) <= abs(val + cur) else -val
-                if abs(best - cur) > 0.6 * max(abs(best), abs(cur)) \
-                        and abs(z - prev_z) > 1e-12:
-                    mid = 0.5 * (z + prev_z)
-                    stack.append((z, val))
-                    stack.append((mid, np.sqrt(self.h_squared(mid, sheet))))
-                    continue
-                cur = best
-                prev_z = z
-        return start, cur
-
-    def continue_h_around(self, vertices):
-        """Continue h once around a closed loop; returns (start, ratio)."""
-        pieces, _ = split_polyline(self.periods.curve.cuts, vertices,
-                                   closed=True)
-        start, end = self.continue_h_along(pieces)
-        ratio = end / start
-        if abs(abs(ratio) - 1.0) > 1e-6:
+        """Continue the half differential along sheet tagged pieces from its
+        principal value at the first point.  Its phase turns by sum_m e_m
+        darg_m, e_m = ``h_exponents`` and darg_m the angle the path sweeps
+        about branch point m; the end value is the root of the end sheet's
+        h^2 nearer that phase.  Returns (start value, end value)."""
+        za, zb, s = np.array(pieces, dtype=complex).T
+        pts = self.periods.curve.points[:, None]
+        turn = self.h_exponents @ np.angle((zb - pts) / (za - pts)).sum(axis=1)
+        start = self.h(za[0], 1 if s[0].real > 0 else 2)
+        end = self.h(zb[-1], 1 if s[-1].real > 0 else 2)
+        u = end / abs(end) * abs(start) / start * np.exp(-1j * turn)
+        if u.real < 0:
+            end, u = -end, -u
+        # u is 1 up to rounding when the end sheet's tag is right
+        if not abs(u - 1.0) <= 0.5:
             raise LoopConstructionFailed(
-                f"h continuation lost track (|ratio| = {abs(ratio):.6f})")
-        return start, ratio
+                f"spinor continuation to {zb[-1]:.4g} ends off both roots "
+                f"(phase gap {abs(u - 1.0):.3g})")
+        return start, end
 
     # -- projective connection --------------------------------------------
 

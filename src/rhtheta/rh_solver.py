@@ -10,9 +10,12 @@ matrix is normalized to the identity at lambda_0, has determinant one
 everywhere, and its logarithmic derivative is a single-valued rational
 matrix function with simple poles at the branch points.
 
-h^2 on sheet 2 is exactly -h^2 on sheet 1, so h continued along the
-sign-flipped pieces of a path is a constant +-i, fixed at the normalization
-point, times the sheet-1 continuation; each path continues h once.
+The spinor h is const * prod_m (lambda - lambda_m)^e_m up to sign, and
+the exponents e_m = ``KernelContext.h_exponents`` fix its continuation, its
+logarithmic derivative and the divisor case of the residues.  h^2 on sheet
+2 is exactly -h^2 on sheet 1, so h continued along the sign-flipped pieces
+of a path is a constant +-i, fixed at the normalization point, times the
+sheet-1 continuation; each path continues h once.
 
 Monodromy matrices come from continuing both columns around explicit
 basepointed loops; each continued column lands on the other sheet with a
@@ -133,6 +136,7 @@ class RHSolution:
             < abs(self.h0[1] + 1j * self.h0[0]) else -1j
         self._germ_cache = {}
         self._residue_matrices = None
+        self._residue_set = None
 
     # -- germs ----------------------------------------------------------
 
@@ -182,13 +186,13 @@ class RHSolution:
         zs (N,) from their sheet-1 Abel values U1 (g, N) and spinor values
         hs = (h1, h2).  The derivative differentiates the theta arguments
         through the normalized differentials and the scalar factors through
-        the logarithmic derivative of the spinor; no finite differences.
-        Theta stacks run over the points only, never over entries."""
+        the logarithmic derivative of the spinor, sum_m e_m / (lambda -
+        lambda_m) with e_m = ``h_exponents``; no finite differences.  Theta
+        stacks run over the points only, never over entries."""
         kc, ctx = self.kc, self.periods.theta_context
         zs = np.asarray(zs, dtype=complex)
         v1 = self.periods.differentials(zs)
-        hlog = 0.5 * kc.q_poly_deriv(zs) / kc.q_poly(zs) \
-            - 0.5 * self.curve.log_derivative_sum(zs)
+        hlog = kc.h_exponents @ (1.0 / (zs - self.curve.points[:, None]))
         dz = zs - self.lambda0
         psi = np.empty((len(zs), 2, 2), dtype=complex)
         dpsi = np.empty_like(psi)
@@ -423,15 +427,6 @@ class RHSolution:
 
     # -- residues ---------------------------------------------------------
 
-    def _divisor(self):
-        """Mask of the g-1 branch points where Q and theta[*] vanish."""
-        Q = np.abs(self.kc.q_poly(self.curve.points))
-        divisor = Q <= 1e-8 * np.max(Q)
-        if divisor.sum() != self.curve.genus - 1:
-            raise RelationViolated(f"Q vanishes at {divisor.sum()} branch "
-                                   f"points, not {self.curve.genus - 1}")
-        return divisor
-
     def _closed_residues(self):
         """Residue matrices (M, 2, 2) from theta data at U_m = U(lambda_m).
 
@@ -440,17 +435,18 @@ class RHSolution:
         U = U_m + alpha c x + O(x^3), c = ``numerators(lambda_m)``.  With T,
         S the values of theta[p,q], theta[*] at U_m -/+ U0, primes derivatives
         along c, the quotient is a + alpha b x + O(x^2), a = T/S, b = (T' -
-        a S')/S, and h is x^(-1/2) times an even function.  At the points of
-        ``_divisor`` S = 0: a = T/S', b = (T' - a S''/2)/S', the expansion is
-        divided by alpha x and h is x^(1/2) times one.  Column 2 is column 1
-        at -x up to a constant; lattice shifts only rescale columns.  So Psi
-        = G (lambda - lambda_m)^diag(-1/4, 1/4) K e, G holomorphic, K constant,
-        e scalar, G(lambda_m) = N = [[h0_1 a_0, h0_1 b_0], [h0_2 a_1, h0_2
-        b_1]] up to column scales, and the residue is N diag(-1/4, 1/4) N^-1
-        (Kitaev & Korotkin, IMRN 1998; Deift, Its, Kapaev & Zhou, CMP 1999)."""
+        a S')/S, and h is x^(-1/2) times an even function.  Where the h
+        exponent is +1/4, S = 0: a = T/S', b = (T' - a S''/2)/S', the
+        expansion is divided by alpha x and h is x^(1/2) times one.  Column 2
+        is column 1 at -x up to a constant; lattice shifts only rescale
+        columns.  So Psi = G (lambda - lambda_m)^diag(-1/4, 1/4) K e, G
+        holomorphic, K constant, e scalar, G(lambda_m) = N = [[h0_1 a_0, h0_1
+        b_0], [h0_2 a_1, h0_2 b_1]] up to column scales, and the residue is
+        N diag(-1/4, 1/4) N^-1 (Kitaev & Korotkin, IMRN 1998; Deift, Its,
+        Kapaev & Zhou, CMP 1999)."""
         if self._residue_matrices is None:
             kc, pd, pts = self.kc, self.periods, self.curve.points
-            divisor = self._divisor()
+            divisor = kc.h_exponents > 0
             Um = np.stack([pd.abel(branch_index=m) for m in range(len(pts))], 1)
             c = np.stack([pd.numerators(p) for p in pts], 1)
             N = np.empty((len(pts), 2, 2), dtype=complex)
@@ -479,11 +475,15 @@ class RHSolution:
         return self._closed_residues()[n]
 
     def residues(self):
-        mats = np.array([self.residue(n)
-                         for n in range(len(self.curve.points))])
-        eig = np.array([np.sort_complex(np.linalg.eigvals(m)) for m in mats])
-        return ResidueSet(matrices=mats, exponents=eig,
-                          sum_norm=float(np.max(np.abs(mats.sum(axis=0)))))
+        """Checked residues at every branch point, computed once and kept."""
+        if self._residue_set is None:
+            mats = np.array([self.residue(n)
+                             for n in range(len(self.curve.points))])
+            eig = np.sort_complex(np.linalg.eigvals(mats))
+            self._residue_set = ResidueSet(
+                matrices=mats, exponents=eig,
+                sum_norm=float(np.max(np.abs(mats.sum(axis=0)))))
+        return self._residue_set
 
     def ode_residual(self, lam, residue_set=None):
         """Defect of the rational form of the logarithmic derivative at a

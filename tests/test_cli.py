@@ -153,6 +153,47 @@ def test_tau_reference_sets_branch_phase(tmp_path):
     assert abs(continued - phase * principal) < 1e-12 * abs(continued)
 
 
+def _same_report(got, want, where="report"):
+    """Keys, strings, integers, booleans and row order exactly; floats
+    within 1e-12 * max(1, |want|)."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for k in want:
+            _same_report(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _same_report(a, b, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_sample_reports_match_pins(tmp_path, genus):
+    # whole reports of five commands on each sample, pinned in
+    # sample_reports.json; a sign or lattice-gauge change anywhere shows
+    pins = read(Path(__file__).resolve().parent / "sample_reports.json")
+    curve = str(SAMPLES / f"curve_g{genus}.json")
+    char = str(SAMPLES / f"char_g{genus}.json")
+    commands = {
+        "periods": ["periods", "--curve", curve],
+        "solve": ["solve", "--curve", curve, "--char", char],
+        "monodromy": ["monodromy", "--curve", curve, "--char", char,
+                      "--n", "1"],
+        "tau": ["tau", "--curve", curve, "--char", char],
+        "verify": ["verify", "--curve", curve, "--char", char,
+                   "--suite", "all", "--seed", "0"],
+    }
+    assert sorted(commands) == sorted(pins[f"g{genus}"])
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        _same_report(read(out), pins[f"g{genus}"][name], f"g{genus} {name}")
+
+
 # -- verification suite ----------------------------------------------------
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import rhtheta.hyperelliptic as hyp_mod
-import rhtheta.kernels as ker_mod
 import rhtheta.quadrature as quad_mod
 import rhtheta.rh_solver as rh_mod
 from rhtheta.cli import main
@@ -388,7 +387,7 @@ def _compare_path_layer(monkeypatch):
         return got
 
     monkeypatch.setattr(hyp_mod, "route", routed)
-    for mod in (hyp_mod, ker_mod, rh_mod):
+    for mod in (hyp_mod, rh_mod):
         monkeypatch.setattr(mod, "split_polyline", split)
     for mod in (hyp_mod, rh_mod):
         monkeypatch.setattr(mod, "integrate_pieces", pieces)

@@ -334,14 +334,30 @@ def test_projective_connection_finite_and_T_independent(ctx1):
     assert abs(r0 - r1) < 1e-5 * max(1.0, abs(r0))
 
 
+def _turning_number(verts):
+    """Turns of the tangent along a closed polyline."""
+    d = np.diff(np.array(list(verts) + [verts[0]]))
+    d = d[d != 0]
+    return int(np.rint(np.angle(np.roll(d, -1) / d).sum() / (2 * np.pi)))
+
+
 def test_h_sign_flips_along_cycles(ctx1, ctx2):
-    # h^2 is single valued, so continuation around any cycle multiplies h
-    # by exactly +-1; around a_k the sign is (-1)^(2 p*_k)
-    for ctx in (ctx1, ctx2):
+    # h^2 is single valued, so continuation around a loop multiplies h by
+    # +-1.  The half differential h dlambda^(1/2) of the odd characteristic
+    # [p*, q*] changes sign along a simple loop c by -(-1)^q(c), with q the
+    # quadratic form of its spin structure: q(a_k) = 2 p*_k, q(b_k) =
+    # 2 q*_k and q(x + y) = q(x) + q(y) + x.y mod 2; dlambda^(1/2) changes by
+    # (-1)^t, t the turning number of the loop in the plane.  The raw b
+    # loops are b_k + sum_{j>k} gram[k, j] a_j; on the g4 curve that sum
+    # flips q(b_1).
+    g4 = KernelContext(compute_periods(HyperellipticCurve(G4_POINTS)))
+    for ctx in (ctx1, ctx2, g4):
         pd = ctx.periods
-        pstar, _ = ctx.odd_char.arrays()
+        ps, qs = (np.rint(2 * x).astype(int) for x in ctx.odd_char.arrays())
         for k in range(pd.curve.genus):
-            _, ratio = ctx.continue_h_around(pd.a_loop(k))
-            assert abs(ratio - (-1.0) ** (2 * pstar[k])) < 1e-6
-            _, ratio = ctx.continue_h_around(pd.b_loops[k])
-            assert min(abs(ratio - 1.0), abs(ratio + 1.0)) < 1e-6
+            q_b = qs[k] + pd.gram[k, k + 1:] @ ps[k + 1:]
+            for verts, q in ((pd.a_loop(k), ps[k]), (pd.b_loops[k], q_b)):
+                pieces, _ = split_polyline(pd.curve.cuts, verts, closed=True)
+                start, end = ctx.continue_h_along(pieces)
+                want = -(-1.0) ** (q + _turning_number(verts))
+                assert abs(end / start - want) < 1e-12

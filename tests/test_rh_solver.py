@@ -9,8 +9,9 @@ import rhtheta.hyperelliptic as hyp_mod
 import rhtheta.rh_solver as rh_mod
 from rhtheta.cli import _psi_samples
 from rhtheta.covering import validate_quasi_perm
-from rhtheta.errors import (InconsistentLayout, NotQuasiPermutation,
-                            RelationViolated, SingularPoint)
+from rhtheta.errors import (InconsistentLayout, LoopConstructionFailed,
+                            NotQuasiPermutation, RelationViolated,
+                            RoutingFailure, SingularPoint)
 from rhtheta.geometry import split_polyline
 from rhtheta.hyperelliptic import (_CIRCLE_PHASE, HyperellipticCurve,
                                    PeriodData, compute_periods, load_curve)
@@ -162,12 +163,35 @@ def _sample_solution(genus):
                                                         tuple(c["q"])), lam0)
 
 
-@pytest.mark.parametrize("genus", [1, 2])
+# the g2 sample with branch point 1 moved to 1e-2 x scale of branch point 0
+_CLOSE_G2 = ([-2.1 - 0.3j, -2.1 - 0.3j + 0.0466 * np.exp(0.6j * np.pi),
+              -0.2 - 0.9j, 0.9 + 0.7j, 1.8 - 0.5j, 2.4 + 0.9j],
+             ((0.07, -0.19), (0.31, 0.12)), 0.3 + 2.2j)
+
+
+def _hops_to_branch_points(sol):
+    """Pieces of germ routes to each reference node, each going on straight
+    to 1e-9 ... 1e-3 x scale of its branch point."""
+    pts, scale = sol.curve.points, sol.curve.scale
+    paths = []
+    for m, p in enumerate(pts):
+        node = hyp_mod.reference_node(pts, m)
+        verts = sol.periods.sheet1_route(sol.lambda0, node)
+        for eps in (1e-9, 1e-7, 1e-5, 1e-3):
+            end = p + eps * scale * np.exp(1j * _CIRCLE_PHASE)
+            paths.append(split_polyline(sol.curve.cuts, verts + [end],
+                                        closed=False)[0])
+    return paths
+
+
+@pytest.mark.parametrize("genus", [1, 2, "2-close"])
 def test_batched_spinor_track_matches_per_sample_reference(genus, monkeypatch):
-    # every monodromy loop and every germ route of the solve report's
-    # samples: a piece's samples evaluated in one call track the same
-    # spinor, bit for bit, as one call per sample
-    sol = _sample_solution(genus)
+    # every monodromy loop, homology loop and hop to 1e-9 ... 1e-3 x scale
+    # of a branch point on the samples and a close pair, and every germ
+    # route of the samples' solve report: the winding of the path picks
+    # the same root, bit for bit, as tracking one sample at a time
+    close = genus == "2-close"
+    sol = _solution(*_CLOSE_G2) if close else _sample_solution(genus)
     track = KernelContext.continue_h_along
     checked = []
 
@@ -178,10 +202,28 @@ def test_batched_spinor_track_matches_per_sample_reference(genus, monkeypatch):
         return out
 
     monkeypatch.setattr(KernelContext, "continue_h_along", compared)
+    M = len(sol.curve.points)
     sol.monodromies()
-    assert len(checked) == len(sol.curve.points)
-    _psi_samples(sol)
-    assert len(checked) > len(sol.curve.points) + 20
+    assert len(checked) == M
+    pd = sol.periods
+    loops = [pd.a_loop(k) for k in range(sol.curve.genus)] + pd.b_loops
+    for pieces in ([split_polyline(sol.curve.cuts, v, closed=True)[0]
+                    for v in loops] + _hops_to_branch_points(sol)):
+        sol.kc.continue_h_along(pieces)
+    assert len(checked) == M + 2 * sol.curve.genus + 4 * M
+    if not close:
+        _psi_samples(sol)
+        assert len(checked) > 5 * M + 2 * sol.curve.genus + 20
+
+
+def test_wrong_sheet_on_the_last_piece_is_refused(sol2, mon2):
+    # a wrong tag turns the end root by a quarter turn, off both signs of
+    # the predicted phase
+    pieces = split_polyline(sol2.curve.cuts, mon2[0].vertices,
+                            closed=False)[0]
+    za, zb, s = pieces[-1]
+    with pytest.raises(LoopConstructionFailed, match="off both roots"):
+        sol2.kc.continue_h_along(pieces[:-1] + [(za, zb, -s)])
 
 
 def test_one_spinor_continuation_per_path(sol1, monkeypatch):
@@ -531,15 +573,59 @@ def test_residue_checks_its_reference_node(sol1, monkeypatch):
 
 def test_regular_formula_at_a_divisor_point_is_refused(monkeypatch):
     # the g2 sample has one branch point where Q and theta[*] vanish; the
-    # regular formula there misses the node check
+    # regular formula there misses the node check.  Only the residue formula
+    # sees the exponents moved; ode_matrix reads the true ones.
     sol = _sample_solution(2)
-    divisor = sol._divisor()
-    assert np.count_nonzero(divisor) == 1
-    d = int(np.argmax(divisor))
-    monkeypatch.setattr(RHSolution, "_divisor",
-                        lambda self: np.zeros_like(divisor))
+    kc, exponents = sol.kc, sol.kc.h_exponents
+    assert np.count_nonzero(exponents > 0) == 1
+    d = int(np.argmax(exponents))
+    closed = RHSolution._closed_residues
+
+    def regular_only(self):
+        kc.h_exponents = np.full_like(exponents, -0.25)
+        try:
+            return closed(self)
+        finally:
+            kc.h_exponents = exponents
+
+    monkeypatch.setattr(RHSolution, "_closed_residues", regular_only)
     with pytest.raises(RelationViolated, match=f"branch point {d} "):
         sol.residue(d)
+
+
+def test_residues_are_checked_once(monkeypatch):
+    # the node checks run on the first residues() call, one per branch
+    # point; later calls return the kept set
+    sol = _sample_solution(2)
+    calls = []
+    residue = RHSolution.residue
+
+    def counted(self, n):
+        calls.append(n)
+        return residue(self, n)
+
+    monkeypatch.setattr(RHSolution, "residue", counted)
+    first = sol.residues()
+    assert calls == list(range(len(sol.curve.points)))
+    assert sol.residues() is first
+    hamiltonians(sol)
+    assert calls == list(range(len(sol.curve.points)))
+
+
+def test_routing_failure_names_the_branch_point():
+    # inside every route clearance of a branch point no route reaches the
+    # end point; the error says which branch point and how close
+    sol = _sample_solution(2)
+    pts, scale = sol.curve.points, sol.curve.scale
+    near = pts[3] + 1e-2 * scale * np.exp(0.5j)
+    with pytest.raises(RoutingFailure, match=r"lies 0\.0466 from branch "
+                       r"point 3 \(0\.9\+0\.7j\), inside the route "
+                       r"clearances 0\.0682 to 0\.239"):
+        sol.psi(near)
+    with pytest.raises(RoutingFailure, match="from branch point 3 "):
+        RHSolution(sol.periods, None, near, kernel=sol.kc)
+    # a little further out the routes succeed, unchanged
+    assert np.isfinite(sol.psi(pts[3] + 3e-2 * scale * np.exp(0.5j))).all()
 
 
 def test_logarithmic_derivative_is_rational(sol1):
