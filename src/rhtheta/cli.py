@@ -209,26 +209,35 @@ def _psi_samples(sol, nx=6, ny=6):
 
     Grid nodes inside the guard distance of a branch point, or where the
     evaluation degenerates, are skipped; the node set is a deterministic
-    function of the curve alone.
+    function of the curve alone.  The grid is evaluated in one stacked
+    call; when that raises, node by node, skipping exactly the nodes whose
+    own evaluation raises.
     """
     pts = sol.curve.points
     xs = np.append(pts.real, sol.lambda0.real)
     ys = np.append(pts.imag, sol.lambda0.imag)
     pad = 0.45 * sol.curve.scale
     guard = 0.1 * sol.curve.scale
-    rows = []
+    nodes = []
     for x in np.linspace(xs.min() - pad, xs.max() + pad, nx):
         for y in np.linspace(ys.min() - pad, ys.max() + pad, ny):
-            lam = complex(x, y)
-            if min(abs(lam - p) for p in pts) < guard:
-                continue
-            try:
-                m = sol.psi(lam)
-            except RHThetaError:
-                continue
-            entries = [part for e in m.ravel() for part in (e.real, e.imag)]
-            rows.append([float(x), float(y)] + [float(v) for v in entries])
-    return rows
+            if min(abs(complex(x, y) - p) for p in pts) >= guard:
+                nodes.append((float(x), float(y)))
+    lams = np.array([complex(x, y) for x, y in nodes])
+    try:
+        mats = list(sol.psi(lams))
+    except RHThetaError:
+        mats = [_psi_or_none(sol, lam) for lam in lams]
+    return [[x, y] + [float(part) for e in m.ravel()
+                      for part in (e.real, e.imag)]
+            for (x, y), m in zip(nodes, mats) if m is not None]
+
+
+def _psi_or_none(sol, lam):
+    try:
+        return sol.psi(lam)
+    except RHThetaError:
+        return None
 
 
 def cmd_solve(args):

@@ -7,7 +7,10 @@ sheet of the square root carried along the path.  All routines here are
 deterministic functions of their inputs so that downstream period matrices
 and monodromy loops are reproducible bit for bit.  Crossing tests broadcast:
 one call tests every segment of a path against every cut, and every edge of
-a routing graph against every cut and clearance point.
+a routing graph against every cut and clearance point.  Routes from one
+source share one ``RouteTree``, a shortest-path tree whose graph is built
+and searched once for many targets; each of its paths is bit for bit the
+one-target ``route``.
 """
 
 from __future__ import annotations
@@ -66,17 +69,9 @@ def point_segment_distance(p, a, b):
     return np.where(len2 == 0.0, np.abs(e), np.abs(e - t * d))
 
 
-def route(z0, z1, cuts, margin, clear_points=()):
-    """Deterministic polyline from z0 to z1 that crosses no cut.
-
-    Shortest path in a visibility graph whose nodes are the endpoints plus
-    corner points fanned around every cut endpoint at radius ``margin``.
-    An edge is blocked when it crosses a cut or passes closer than
-    0.6*margin to one of ``clear_points`` other than its own ends, which
-    keeps routed legs away from branch points.  All node pairs are tested
-    in one broadcast: ``blocked[i, j]`` for the edge from node i to node j.
-    """
-    nodes = [z0, z1]
+def _corners(cuts, margin):
+    """Routing nodes fanned around every cut endpoint at radius margin."""
+    nodes = []
     for a, b in cuts:
         u = (b - a) / abs(b - a)
         n = 1j * u
@@ -84,41 +79,166 @@ def route(z0, z1, cuts, margin, clear_points=()):
             nodes.append(end + margin * (out + n))
             nodes.append(end + margin * (out - n))
             nodes.append(end + margin * np.sqrt(2.0) * out)
-    zs = np.array(nodes, dtype=complex)
-    p, q = zs[:, None, None], zs[None, :, None]
+    return nodes
+
+
+def _blocked(p, q, cuts, margin, clear_points):
+    """``blocked[i, j]`` for the edge from p[i] to q[j], all pairs in one
+    broadcast: the edge crosses a cut, or passes closer than 0.6*margin to
+    one of ``clear_points`` other than its own ends."""
+    p, q = p[:, None, None], q[None, :, None]
     ab = np.array(cuts, dtype=complex).reshape(-1, 2)
     blocked = crossings(p, q, ab[:, 0], ab[:, 1])[2].any(axis=2)
     c = np.asarray(clear_points, dtype=complex)
     near = ((point_segment_distance(c, p, q) < 0.6 * margin)
             & (np.abs(c - p) > 1e-13) & (np.abs(c - q) > 1e-13))
-    blocked |= near.any(axis=2)
-    if not blocked[0, 1]:
-        return [z0, z1]
-    length = np.abs(zs[None, :] - zs[:, None])
-    m = len(nodes)
-    dist = np.full(m, np.inf)
-    prev = np.full(m, -1, dtype=int)
-    dist[0] = 0.0
-    done = np.zeros(m, dtype=bool)
-    for _ in range(m):
+    return blocked | near.any(axis=2)
+
+
+class RouteTree:
+    """Shortest cut-avoiding polylines from one source z0 to any target.
+
+    The graph is that of ``route``: the source, the target and corner
+    points fanned around every cut endpoint at radius ``margin``, with an
+    edge wherever ``_blocked`` allows one.  The tree holds the source and
+    the corners; Dijkstra's search (Dijkstra 1959) settles them lazily,
+    only until the asked-for target settles, and keeps them for the next
+    target.  A target's path replays ``route``'s rule over the kept order
+    bit for bit: ``route`` lists the target right after the source, so it
+    settles once no open corner is nearer by more than 1e-15, and its
+    predecessor is the first settled node that improves its distance by
+    more than 1e-12.  Corners settle in the same order with or without a
+    target unless a corner's distance ties the target's within 2e-15;
+    such a target is routed by ``route`` itself.  Not safe for concurrent
+    use.
+    """
+
+    def __init__(self, z0, cuts, margin, clear_points=(), via=()):
+        self.z0, self.cuts, self.margin = z0, cuts, margin
+        self.clear_points = clear_points
+        self.nodes = [z0, *via] + _corners(cuts, margin)
+        zs = self._zs = np.array(self.nodes, dtype=complex)
+        self._blocked = _blocked(zs, zs, cuts, margin, clear_points)
+        self._length = np.abs(zs[None, :] - zs[:, None])
+        n = len(zs)
+        self._dist = np.full(n, np.inf)
+        self._dist[0] = 0.0
+        self._prev = np.full(n, -1, dtype=int)
+        self._done = np.zeros(n, dtype=bool)
+        self._order = []            # settled nodes, in settling order
+        # what ``path`` replays: the distance each node was picked at, the
+        # step it settled at, and all distances before each step; a tree
+        # holding its target as a node is searched once and keeps none
+        self._best = []
+        self._rank = None if via else np.full(n, n)
+        self._seen = None if via else np.empty((n, n))
+
+    def _pick(self):
+        """Next node to settle and its distance, by ``route``'s scan; -1
+        once no reachable node is open."""
         u_idx, best = -1, np.inf
-        for i, (d, fixed) in enumerate(zip(dist.tolist(), done.tolist())):
+        for i, (d, fixed) in enumerate(zip(self._dist.tolist(),
+                                           self._done.tolist())):
             if not fixed and d < best - 1e-15:
                 best, u_idx = d, i
-        if u_idx < 0 or u_idx == 1:
-            break
-        done[u_idx] = True
-        nd = dist[u_idx] + length[u_idx]
-        better = ~done & ~blocked[u_idx] & (nd < dist - 1e-12)
-        dist[better] = nd[better]
-        prev[better] = u_idx
-    if not np.isfinite(dist[1]):
-        raise RoutingFailure(
-            f"no cut-avoiding path from {z0:.4g} to {z1:.4g}")
-    order = [1]
-    while order[-1] != 0:
-        order.append(prev[order[-1]])
-    return [nodes[i] for i in reversed(order)]
+        return u_idx, best
+
+    def _settle(self, u_idx, best):
+        """Settle node u_idx, picked at distance best, and relax from it."""
+        if self._seen is not None:
+            self._seen[len(self._order)] = self._dist
+            self._rank[u_idx] = len(self._order)
+            self._best.append(best)
+        self._order.append(u_idx)
+        self._done[u_idx] = True
+        nd = self._dist[u_idx] + self._length[u_idx]
+        better = (~self._done & ~self._blocked[u_idx]
+                  & (nd < self._dist - 1e-12))
+        self._dist[better] = nd[better]
+        self._prev[better] = u_idx
+
+    def _grow(self):
+        """Settle the next node; False once no reachable node is open."""
+        u_idx, best = self._pick()
+        if u_idx >= 0:
+            self._settle(u_idx, best)
+        return u_idx >= 0
+
+    def _walk(self, v):
+        """Settled nodes from the source to node v."""
+        order = [v]
+        while order[-1] != 0:
+            order.append(self._prev[order[-1]])
+        return [self.nodes[i] for i in reversed(order)]
+
+    def path(self, z1):
+        """Polyline from the source to z1, bit for bit ``route``'s.
+
+        Every open corner lies at or above best - 1e-15, best the
+        distance the next corner was picked at, so the target settles
+        when that bound clears its distance less 1e-15 and a corner goes
+        first when best is below it.  In between, or when an open corner
+        lies in the window [d - 2e-15, d - 1e-15) below the target's
+        distance d, where ``route`` may pick another corner first, the
+        target goes to ``route``."""
+        t = np.array([z1], dtype=complex)
+        blocked = _blocked(self._zs, t, self.cuts, self.margin,
+                           self.clear_points)[:, 0]
+        if not blocked[0]:
+            return [self.z0, z1]
+        length = np.abs(t - self._zs)
+        d1, p1, steps, tie = np.inf, -1, [], False
+        k = 0
+        while k < len(self._order) or self._grow():
+            hi = d1 - 1e-15
+            if not self._best[k] < hi:
+                tie = not self._best[k] - 1e-15 >= hi
+                break
+            u = self._order[k]
+            if d1 < np.inf:
+                steps.append((k, hi))
+            nd = self._dist[u] + length[u]
+            if not blocked[u] and nd < d1 - 1e-12:
+                d1, p1 = nd, u
+            k += 1
+        if steps and not tie:
+            ks, his = (np.array(v) for v in zip(*steps))
+            x = np.where(self._rank < ks[:, None], np.inf, self._seen[ks])
+            hi = his[:, None]
+            tie = np.any((x < hi) & ~(x < hi - 1e-15))
+        if tie:
+            return route(self.z0, z1, self.cuts, self.margin,
+                         self.clear_points)
+        if not np.isfinite(d1):
+            raise _unreachable(self.z0, z1)
+        return self._walk(p1) + [z1]
+
+
+def _unreachable(z0, z1):
+    return RoutingFailure(f"no cut-avoiding path from {z0:.4g} to {z1:.4g}")
+
+
+def route(z0, z1, cuts, margin, clear_points=()):
+    """Deterministic polyline from z0 to z1 that crosses no cut.
+
+    Shortest path in a visibility graph whose nodes are the endpoints plus
+    corner points fanned around every cut endpoint at radius ``margin``.
+    An edge is blocked when it crosses a cut or passes closer than
+    0.6*margin to one of ``clear_points`` other than its own ends, which
+    keeps routed legs away from branch points.  The search of a
+    ``RouteTree`` that holds the target as its node 1: the direct edge is
+    checked first, and the search stops when the target settles.
+    """
+    tree = RouteTree(z0, cuts, margin, clear_points, via=(z1,))
+    if not tree._blocked[0, 1]:
+        return [z0, z1]
+    u_idx, best = tree._pick()
+    while u_idx not in (-1, 1):
+        tree._settle(u_idx, best)
+        u_idx, best = tree._pick()
+    if u_idx < 0:
+        raise _unreachable(z0, z1)
+    return tree._walk(1)
 
 
 def split_polyline(cuts, vertices, closed=True, start_sign=1.0):

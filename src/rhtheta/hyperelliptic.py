@@ -40,6 +40,7 @@ from .errors import (
     RoutingFailure,
 )
 from .geometry import (
+    RouteTree,
     cross2,
     crossings,
     ellipse_loop,
@@ -57,6 +58,9 @@ from .theta import ThetaContext
 # of the minimal branch-point separation.  Each failure rebuilds the whole
 # loop family with fresh clearances so loop pairs stay transversal.
 _LOOP_LADDER = ((0.05, 1.0), (0.043, 0.71), (0.058, 1.31), (0.037, 0.89))
+# Route clearances of ``PeriodData.sheet1_route`` as fractions of the
+# minimal branch-point separation, tried in order.
+_ROUTE_FRACS = (0.2, 0.13, 0.28, 0.08)
 # Phase of a branch point's reference node, the start of its
 # ``branch_circle``, off cut lines.  Abel routes start at branch point 0's
 # node, each branch-point value is hopped back from its own node, and the
@@ -205,6 +209,8 @@ class PeriodData:
     # sheet-1 Abel values by point, and by ("branch", m) for branch points
     _abel: dict = field(default_factory=dict, repr=False)
     _theta_context: ThetaContext = field(default=None, repr=False)
+    # route trees by (source, clearance rung), built on first use
+    _trees: dict = field(default_factory=dict, repr=False)
     _moved: dict = field(default_factory=dict, repr=False)
     # kept by kernels.even_subset_characteristics
     _even_subsets: tuple = field(default=None, repr=False)
@@ -303,20 +309,24 @@ class PeriodData:
 
     def sheet1_route(self, z0, z1):
         """Cut-avoiding polyline between two plain points, with clearance
-        fallbacks for tight configurations.  When every clearance fails and
-        an end point lies inside the widest one of a branch point, the
-        error names both."""
+        fallbacks for tight configurations.  Routes from one source share
+        one ``RouteTree`` per clearance, kept, and each equals ``route`` bit
+        for bit.  When every clearance fails and an end point lies inside
+        the widest one of a branch point, the error names both."""
         last = None
-        fracs = (0.2, 0.13, 0.28, 0.08)
-        for frac in fracs:
+        for frac in _ROUTE_FRACS:
+            key = (complex(z0), frac)
+            tree = self._trees.get(key)
+            if tree is None:
+                tree = self._trees.setdefault(key, RouteTree(
+                    z0, self.curve.cuts, frac * self.curve.min_separation,
+                    clear_points=self.curve.points))
             try:
-                return route(z0, z1, self.curve.cuts,
-                             margin=frac * self.curve.min_separation,
-                             clear_points=self.curve.points)
+                return tree.path(z1)
             except RoutingFailure as exc:
                 last = exc
         # route keeps legs 0.6 * margin from every branch point
-        clear = 0.6 * self.curve.min_separation * np.array(fracs)
+        clear = 0.6 * self.curve.min_separation * np.array(_ROUTE_FRACS)
         for z in (z0, z1):
             d = np.abs(self.curve.points - z)
             m = int(np.argmin(d))
@@ -376,7 +386,7 @@ class PeriodData:
         pieces, events = split_polyline(self.curve.cuts, vertices,
                                         closed=closed, start_sign=start_sign)
         dU = integrate_pieces(lambda z, s: self.differentials(z, s),
-                              pieces, tol=1e-12)
+                              [pieces], tol=1e-12)[0]
         end_sign = pieces[-1][2] if not events else start_sign * (-1) ** len(events)
         return dU, end_sign
 
@@ -523,12 +533,10 @@ def compute_periods(curve, tol=1e-12):
                     S[i, j] = intersection_number(pieces_list[i],
                                                   pieces_list[j])
                     S[j, i] = -S[i, j]
-            Braw = np.zeros((g, g), dtype=complex)
-            for i in range(g):
-                Braw[i] = integrate_pieces(
-                    lambda z, s: np.vstack(
-                        [z ** be for be in range(g)]) / (s * curve.w(z, 1)),
-                    pieces_list[i], tol=tol)
+            Braw = integrate_pieces(
+                lambda z, s: np.vstack(
+                    [z ** be for be in range(g)]) / (s * curve.w(z, 1)),
+                pieces_list, tol=tol)
             # subtract whole a periods so that b_i o b_j = 0 exactly
             for i in range(g):
                 for j in range(i + 1, g):

@@ -6,8 +6,10 @@ successive approximations agree; when doubling stalls (integrand with
 nearby singularities off the ends of a long segment) it bisects the segment
 and recurses, which restores geometric convergence.  It takes a stack of
 segments as well as one, so a polyline costs one integrand call per node
-count and sheet, not one per piece; each segment still converges, and is
-bisected, on its own.
+count and sheet, not one per piece, and ``integrate_pieces`` stacks the
+pieces of many paths the same way; each segment still converges, and is
+bisected, on its own, so a path's integral does not depend on the paths
+stacked with it.
 
 The circle routine is a nested trapezoid rule.  The nodes of the 2n-node
 rule are those of the n-node rule plus the n odd nodes between them, so a
@@ -87,20 +89,32 @@ def integrate_segment(f, z0, z1, tol=1e-12, max_depth=10, _depth=0):
     return np.stack(out) if stacked else out[0]
 
 
-def integrate_pieces(f, pieces, tol=1e-12):
-    """Sum of signed segment integrals over sheet-tracked pieces.
+def integrate_pieces(f, paths, tol=1e-12):
+    """Sums of signed segment integrals over sheet-tracked paths, one per
+    path, stacked along a leading axis.
 
-    Each piece is (z_start, z_end, sign); f(points, sign) returns the
-    integrand sampled on the indicated sheet.  The pieces of one sheet are
-    integrated in one stacked call, and the parts added in piece order.
+    A path is a list of pieces (z_start, z_end, sign); f(points, sign)
+    returns the integrand sampled on the indicated sheet.  The pieces of
+    one sheet, over all paths, are integrated in one stacked call; a
+    segment's integral does not depend on what is stacked with it, and
+    each path adds its parts in piece order, so a path's sum is the same
+    alone or among many.
     """
-    parts = {}
-    for sign in dict.fromkeys(s for _, _, s in pieces):
-        idx = [k for k, piece in enumerate(pieces) if piece[2] == sign]
-        parts.update(zip(idx, integrate_segment(
-            lambda z: f(z, sign), [pieces[k][0] for k in idx],
-            [pieces[k][1] for k in idx], tol)))
-    return sum((parts[k] for k in range(1, len(pieces))), parts[0])
+    flat = [piece for path in paths for piece in path]
+    parts = [None] * len(flat)
+    for sign in dict.fromkeys(s for _, _, s in flat):
+        idx = [k for k, piece in enumerate(flat) if piece[2] == sign]
+        vals = integrate_segment(lambda z: f(z, sign),
+                                 [flat[k][0] for k in idx],
+                                 [flat[k][1] for k in idx], tol)
+        for k, v in zip(idx, vals):
+            parts[k] = v
+    sums, start = [], 0
+    for path in paths:
+        own = parts[start:start + len(path)]
+        sums.append(sum(own[1:], own[0]))
+        start += len(path)
+    return np.stack(sums)
 
 
 def integrate_substituted(f, tol=1e-12):

@@ -8,7 +8,10 @@ and the normalization point on sheet k+1, times the scalar prime factor
 normalization point along a deterministic cut-avoiding route, so the
 matrix is normalized to the identity at lambda_0, has determinant one
 everywhere, and its logarithmic derivative is a single-valued rational
-matrix function with simple poles at the branch points.
+matrix function with simple poles at the branch points.  ``psi`` and
+``psi_pair`` take one point or a stack of points: every point gets its own
+route and spinor continuation, and a stack shares one Abel integral over
+all its routes and one theta evaluation per characteristic.
 
 The spinor h is const * prod_m (lambda - lambda_m)^e_m up to sign, and
 the exponents e_m = ``KernelContext.h_exponents`` fix its continuation, its
@@ -20,7 +23,8 @@ sheet-1 continuation; each path continues h once.
 Monodromy matrices come from continuing both columns around explicit
 basepointed loops; each continued column lands on the other sheet with a
 period-lattice shift and a spinor sign, and those data give the nonzero
-entries in closed form.  Residue matrices come in closed form from theta
+entries in closed form; the Abel integrals of all loops share one stacked
+call.  Residue matrices come in closed form from theta
 values and derivatives at the Abel images of the branch points.
 
 Psi_lambda Psi^-1 does not depend on the germ: another lattice shift of
@@ -140,22 +144,41 @@ class RHSolution:
 
     # -- germs ----------------------------------------------------------
 
-    def _germ(self, z):
-        """Abel value and both spinor germs at z, continued from the
-        normalization point along the deterministic cut-avoiding route."""
-        key = complex(z)
-        if key in self._germ_cache:
-            return self._germ_cache[key]
-        verts = self.periods.sheet1_route(self.lambda0, key)
-        dU, end_sign = self.periods.continue_abel(verts, closed=False)
-        if end_sign != 1.0:
-            raise LoopConstructionFailed("germ route crossed a cut")
-        U1 = self.U0 + dU
-        pieces = [(a, b, 1.0) for a, b in zip(verts, verts[1:])]
-        _, h1 = self.kc.continue_h_along(pieces)
-        out = (U1, h1, self._flip * h1, verts)
-        self._germ_cache[key] = out
-        return out
+    def _germ(self, lam):
+        """Abel value and both spinor germs at lam, continued from the
+        normalization point along the deterministic cut-avoiding route.
+
+        lam is one point or a stack (N,); a stack returns U1 (g, N), h1 and
+        h2 (N,) and the list of routes.  Every new point gets its own route,
+        sheet check and spinor continuation, and all share one stacked Abel
+        integral; each value is the same alone or among many, and kept."""
+        zs = [complex(z) for z in np.ravel(lam)]
+        new = [z for z in dict.fromkeys(zs) if z not in self._germ_cache]
+        routes, paths, spinors = [], [], []
+        for z in new:
+            verts = self.periods.sheet1_route(self.lambda0, z)
+            pieces, events = split_polyline(self.curve.cuts, verts,
+                                            closed=False)
+            if len(events) % 2:
+                raise LoopConstructionFailed("germ route crossed a cut")
+            _, h1 = self.kc.continue_h_along(
+                [(a, b, 1.0) for a, b in zip(verts, verts[1:])])
+            routes.append(verts)
+            paths.append(pieces)
+            spinors.append(h1)
+        if new:
+            dU = integrate_pieces(
+                lambda z, s: self.periods.differentials(z, s), paths)
+            for z, d, h1, verts in zip(new, dU, spinors, routes):
+                self._germ_cache[z] = (self.U0 + d, h1, self._flip * h1, verts)
+        germs = [self._germ_cache[z] for z in zs]
+        if np.ndim(lam) == 0:
+            return germs[0]
+        U1 = np.array([germ[0] for germ in germs], dtype=complex)
+        return (U1.reshape(-1, self.curve.genus).T,
+                np.array([germ[1] for germ in germs], dtype=complex),
+                np.array([germ[2] for germ in germs], dtype=complex),
+                [germ[3] for germ in germs])
 
     def _check_regular(self, z, derivative=False):
         if min(abs(z - p) for p in self.curve.points) < 1e-9 * self.curve.scale:
@@ -167,17 +190,25 @@ class RHSolution:
     # -- evaluation -------------------------------------------------------
 
     def psi(self, lam):
-        """Solution matrix at lam; identity at the normalization point."""
-        z = complex(lam)
-        if abs(z - self.lambda0) < 1e-12 * self.curve.scale:
-            return np.eye(2, dtype=complex)
-        self._check_regular(z)
-        U1, h1, h2, _ = self._germ(z)
-        psi, _ = self._assemble([z], U1[:, None], (h1, h2))
-        return psi[0]
+        """Solution matrix at lam; identity at the normalization point.
+
+        lam is one point, giving (2, 2), or a stack (N,), giving (N, 2, 2)
+        from one stacked germ integral and one ``_assemble``."""
+        zs = np.ravel(np.asarray(lam, dtype=complex))
+        out = np.empty((len(zs), 2, 2), dtype=complex)
+        base = np.abs(zs - self.lambda0) < 1e-12 * self.curve.scale
+        out[base] = np.eye(2)
+        moving = zs[~base]
+        for z in moving:
+            self._check_regular(z)
+        if len(moving):
+            U1, h1, h2, _ = self._germ(moving)
+            out[~base] = self._assemble(moving, U1, (h1, h2))[0]
+        return out if np.ndim(lam) else out[0]
 
     def psi_eval(self, lam):
         z = complex(lam)
+        self._check_regular(z)
         U1, h1, h2, verts = self._germ(z)
         return PsiEvaluation(z, self.psi(z), verts, U1, (h1, h2))
 
@@ -211,12 +242,14 @@ class RHSolution:
         return psi, dpsi
 
     def psi_pair(self, lam):
-        """Matrix and its analytic lambda derivative in one pass."""
-        z = complex(lam)
-        self._check_regular(z, derivative=True)
-        U1, h1, h2, _ = self._germ(z)
-        psi, dpsi = self._assemble([z], U1[:, None], (h1, h2))
-        return psi[0], dpsi[0]
+        """Matrix and its analytic lambda derivative in one pass, at one
+        point or a stack (N,) of them, as ``psi``."""
+        zs = np.ravel(np.asarray(lam, dtype=complex))
+        for z in zs:
+            self._check_regular(z, derivative=True)
+        U1, h1, h2, _ = self._germ(zs)
+        psi, dpsi = self._assemble(zs, U1, (h1, h2))
+        return (psi, dpsi) if np.ndim(lam) else (psi[0], dpsi[0])
 
     def ode_matrix(self, lam):
         """Logarithmic derivative; a rational function with simple poles
@@ -304,67 +337,82 @@ class RHSolution:
         raise LoopConstructionFailed(
             f"no clear loop around branch point {n}: {last}")
 
-    def _continue_columns(self, verts):
-        """Continue both columns along a basepointed polyline.
+    def _continue_columns(self, *loops):
+        """Continue both columns along each basepointed polyline.
 
-        Returns one MonodromyColumn per starting sheet.  The Abel integral
-        and the spinor are continued once: the second column's Abel value
-        is the exact negative of the first's, and its spinor, continued
-        along the sign-flipped pieces, the constant ``_flip`` times it.
+        Returns, per polyline, one MonodromyColumn per starting sheet.  The
+        Abel integrals of all polylines share one stacked call, and each
+        continues the spinor once: the second column's Abel value is the
+        exact negative of the first's, and its spinor, continued along the
+        sign-flipped pieces, the constant ``_flip`` times it.
         """
-        pieces, events = split_polyline(self.curve.cuts, verts, closed=False,
-                                        start_sign=1.0)
-        dU = integrate_pieces(
-            lambda z, s: self.periods.differentials(z, s), pieces, tol=1e-12)
-        flips = len(events) % 2
-        _, h_end = self.kc.continue_h_along(pieces)
-        h_ends = (h_end, self._flip * h_end)
+        splits = [split_polyline(self.curve.cuts, verts, closed=False,
+                                 start_sign=1.0) for verts in loops]
+        dUs = integrate_pieces(lambda z, s: self.periods.differentials(z, s),
+                               [pieces for pieces, _ in splits], tol=1e-12)
         out = []
-        for j in range(2):
-            sign = 1.0 if j == 0 else -1.0
-            U_end = sign * (self.U0 + dU)
-            end_sheet = (j + flips) % 2
-            germ = self.U0 if end_sheet == 0 else -self.U0
-            nvec, mvec, res = self.periods.lattice_decompose(U_end - germ)
-            resid = float(np.max(np.abs(res)))
-            if resid > 1e-7:
-                raise LatticeExtractionFailed(
-                    f"continued Abel value off the lattice by {resid:.2e}")
-            ratio = h_ends[j] / self.h0[end_sheet]
-            sigma = int(np.rint(ratio.real))
-            if abs(ratio - sigma) > 1e-6 or sigma not in (-1, 1):
-                raise LatticeExtractionFailed(
-                    f"spinor continuation drifted ({ratio:.8f})")
-            out.append(MonodromyColumn(
-                start_sheet=j + 1, end_sheet=end_sheet + 1,
-                a_index=nvec, b_index=mvec, sigma=sigma,
-                lattice_residual=resid))
+        for (pieces, events), dU in zip(splits, dUs):
+            flips = len(events) % 2
+            _, h_end = self.kc.continue_h_along(pieces)
+            h_ends = (h_end, self._flip * h_end)
+            cols = []
+            for j in range(2):
+                sign = 1.0 if j == 0 else -1.0
+                U_end = sign * (self.U0 + dU)
+                end_sheet = (j + flips) % 2
+                germ = self.U0 if end_sheet == 0 else -self.U0
+                nvec, mvec, res = self.periods.lattice_decompose(U_end - germ)
+                resid = float(np.max(np.abs(res)))
+                if resid > 1e-7:
+                    raise LatticeExtractionFailed(
+                        f"continued Abel value off the lattice by {resid:.2e}")
+                ratio = h_ends[j] / self.h0[end_sheet]
+                sigma = int(np.rint(ratio.real))
+                if abs(ratio - sigma) > 1e-6 or sigma not in (-1, 1):
+                    raise LatticeExtractionFailed(
+                        f"spinor continuation drifted ({ratio:.8f})")
+                cols.append(MonodromyColumn(
+                    start_sheet=j + 1, end_sheet=end_sheet + 1,
+                    a_index=nvec, b_index=mvec, sigma=sigma,
+                    lattice_residual=resid))
+            out.append(cols)
         return out
 
-    def _entry(self, col):
+    def _matrix(self, cols):
+        """Monodromy matrix of a loop's continued columns."""
         p, q = self.kc.char.arrays()
         ps, qs = self.kc.odd_char.arrays()
-        phase = (p - ps) @ col.a_index - (q - qs) @ col.b_index
-        return col.sigma * np.exp(2j * np.pi * phase)
+        M = np.zeros((2, 2), dtype=complex)
+        for j, col in enumerate(cols):
+            phase = (p - ps) @ col.a_index - (q - qs) @ col.b_index
+            M[col.end_sheet - 1, j] = col.sigma * np.exp(2j * np.pi * phase)
+        return M
 
     def continued_monodromy(self, verts):
         """Monodromy factor of an arbitrary basepointed loop."""
-        cols = self._continue_columns(verts)
-        M = np.zeros((2, 2), dtype=complex)
-        for j, col in enumerate(cols):
-            M[col.end_sheet - 1, j] = self._entry(col)
+        cols, = self._continue_columns(verts)
+        M = self._matrix(cols)
         validate_quasi_perm(M)
         return M, cols
 
+    def _monodromies(self, ns):
+        """Monodromy results of the loops around branch points ns, their
+        Abel integrals in one stacked call."""
+        loops = [self.loop_vertices(n) for n in ns]
+        out = []
+        for n, verts, cols in zip(ns, loops, self._continue_columns(*loops)):
+            M = self._matrix(cols)
+            perm, entries = validate_quasi_perm(M)
+            out.append(MonodromyResult(index=n, vertices=verts, matrix=M,
+                                       columns=cols, permutation=perm,
+                                       entries=entries))
+        return out
+
     def monodromy(self, n):
-        verts = self.loop_vertices(n)
-        M, cols = self.continued_monodromy(verts)
-        perm, entries = validate_quasi_perm(M)
-        return MonodromyResult(index=n, vertices=verts, matrix=M,
-                               columns=cols, permutation=perm, entries=entries)
+        return self._monodromies([n])[0]
 
     def monodromies(self):
-        return [self.monodromy(n) for n in range(len(self.curve.points))]
+        return self._monodromies(range(len(self.curve.points)))
 
     def basepoint_order(self):
         """Loop indices sorted by angle around the normalization point,

@@ -11,8 +11,12 @@ import rhtheta.cli as cli_mod
 import rhtheta.hyperelliptic as hyp_mod
 import rhtheta.isomonodromy as iso_mod
 import rhtheta.kernels as ker_mod
+import rhtheta.quadrature as quad_mod
+import rhtheta.rh_solver as rh_mod
 from rhtheta.cli import main
-from rhtheta.hyperelliptic import HyperellipticCurve, compute_periods
+from rhtheta.errors import RoutingFailure
+from rhtheta.hyperelliptic import (HyperellipticCurve, PeriodData,
+                                   compute_periods)
 from rhtheta.isomonodromy import tau_closed_form
 from rhtheta.kernels import riemann_constant
 from rhtheta.rh_solver import RHSolution
@@ -92,6 +96,97 @@ def test_solve_report_and_csv(tmp_path):
         table = list(csv.reader(fh))
     assert table[0][:2] == ["re_lambda", "im_lambda"]
     assert len(table) == len(rows) + 1
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_solve_evaluates_paths_in_bulk(monkeypatch, genus):
+    # one route tree per source and clearance rung; the Psi grid takes one
+    # many-path integral, one stacked segment call for its one sheet and
+    # one _assemble; the monodromies take one many-path integral and one
+    # stacked segment call per sheet
+    trees, log, phase = [], [], ["setup"]
+    tree_cls = hyp_mod.RouteTree
+
+    def building(z0, cuts, margin, clear_points=()):
+        trees.append((complex(z0), margin))
+        return tree_cls(z0, cuts, margin, clear_points)
+
+    def logged(what, fn):
+        def call(*args, **kwargs):
+            if kwargs.get("_depth", 0) == 0:
+                log.append((phase[0], what))
+            return fn(*args, **kwargs)
+        return call
+
+    def phased(name, fn):
+        def call(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = "other"
+        return call
+
+    segment = quad_mod.integrate_segment
+
+    def segmenting(f, z0, z1, tol=1e-12, max_depth=10, _depth=0):
+        return logged("segment", segment)(f, z0, z1, tol, max_depth,
+                                          _depth=_depth)
+
+    monkeypatch.setattr(hyp_mod, "RouteTree", building)
+    monkeypatch.setattr(quad_mod, "integrate_segment", segmenting)
+    monkeypatch.setattr(rh_mod, "integrate_pieces",
+                        logged("pieces", rh_mod.integrate_pieces))
+    monkeypatch.setattr(rh_mod.RHSolution, "_assemble",
+                        logged("assemble", rh_mod.RHSolution._assemble))
+    monkeypatch.setattr(rh_mod.RHSolution, "monodromies", phased(
+        "monodromies", rh_mod.RHSolution.monodromies))
+    monkeypatch.setattr(cli_mod, "_psi_samples",
+                        phased("grid", cli_mod._psi_samples))
+    assert main(["solve", "--curve", str(SAMPLES / f"curve_g{genus}.json"),
+                 "--char", str(SAMPLES / f"char_g{genus}.json"),
+                 "--output", os.devnull]) == 0
+    assert trees and len(trees) == len(set(trees))
+    assert len({z0 for z0, _ in trees}) == 2      # the anchor and lambda0
+    assert [w for p, w in log if p == "grid"] == ["pieces", "segment",
+                                                  "assemble"]
+    assert [w for p, w in log if p == "monodromies"] == ["pieces", "segment",
+                                                         "segment"]
+
+
+def test_solve_skips_exactly_the_failing_grid_node(tmp_path, monkeypatch):
+    # no grid node of the samples fails, so one is made to: its row, and
+    # only its row, leaves the report, and the CSV still matches the report
+    out = tmp_path / "solve.json"
+    assert main(["solve", "--curve", CURVE, "--char", CHAR,
+                 "--output", str(out)]) == 0
+    full = read(out)
+    rows = full["psi_samples"]["rows"]
+    bad = complex(rows[3][0], rows[3][1])
+    route = PeriodData.sheet1_route
+
+    def failing(self, z0, z1):
+        if z1 == bad:
+            raise RoutingFailure("injected at one grid node")
+        return route(self, z0, z1)
+
+    monkeypatch.setattr(PeriodData, "sheet1_route", failing)
+    out, grid = tmp_path / "skip.json", tmp_path / "skip.csv"
+    assert main(["solve", "--curve", CURVE, "--char", CHAR, "--csv",
+                 str(grid), "--output", str(out)]) == 0
+    report = read(out)
+    kept = report["psi_samples"]["rows"]
+    want = rows[:3] + rows[4:]
+    assert [r[:2] for r in kept] == [r[:2] for r in want]
+    for got, ref in zip(kept, want):
+        scale = max(abs(v) for v in ref[2:])
+        assert max(abs(a - b) for a, b in zip(got[2:], ref[2:])) \
+            <= 1e-14 * scale
+    with open(grid, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert [[float(v) for v in r] for r in table[1:]] == kept
+    del report["psi_samples"], full["psi_samples"]
+    assert report == full
 
 
 def test_solve_lambda0_flag_overrides_basepoint(tmp_path):

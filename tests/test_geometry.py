@@ -1,9 +1,11 @@
 import os
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rhtheta.geometry as geo_mod
 import rhtheta.hyperelliptic as hyp_mod
 import rhtheta.quadrature as quad_mod
 import rhtheta.rh_solver as rh_mod
@@ -13,6 +15,7 @@ from rhtheta.errors import (LoopConstructionFailed, QuadratureFailure,
 from rhtheta.geometry import (
     CROSS_TOL,
     MARGINAL,
+    RouteTree,
     cross2,
     intersection_number,
     pick_crossing_point,
@@ -239,17 +242,26 @@ def _ref_point_segment_distance(p, a, b):
     return abs(p - a - t * d)
 
 
+@lru_cache(maxsize=1 << 16)
+def _ref_blocked(p, q, cuts, margin, clear_points):
+    for a, b in cuts:
+        if _ref_segment_crossing(p, q, a, b) is not None:
+            return True
+    for c in clear_points:
+        if (_ref_point_segment_distance(c, p, q) < 0.6 * margin
+                and abs(c - p) > 1e-13 and abs(c - q) > 1e-13):
+            return True
+    return False
+
+
 def _ref_route(z0, z1, cuts, margin, clear_points=()):
-    """One pure-Python ``blocked`` call per node pair."""
+    """One pure-Python ``blocked`` test per node pair (kept across calls
+    with the same graph)."""
+    graph = (tuple((complex(a), complex(b)) for a, b in cuts), margin,
+             tuple(complex(c) for c in clear_points))
+
     def blocked(p, q):
-        for a, b in cuts:
-            if _ref_segment_crossing(p, q, a, b) is not None:
-                return True
-        for c in clear_points:
-            if (_ref_point_segment_distance(c, p, q) < 0.6 * margin
-                    and abs(c - p) > 1e-13 and abs(c - q) > 1e-13):
-                return True
-        return False
+        return _ref_blocked(complex(p), complex(q), *graph)
 
     if not blocked(z0, z1):
         return [z0, z1]
@@ -362,17 +374,24 @@ def _same_outcome(new, ref, *args, **kwargs):
 
 
 def _compare_path_layer(monkeypatch):
-    """Patch route, split_polyline and integrate_pieces wherever the package
-    calls them with versions that check against the scalar references;
-    returns the list of checked calls by kind."""
+    """Patch route, route trees, split_polyline and integrate_pieces
+    wherever the package calls them with versions that check against the
+    scalar references: every one-off route, every route a tree serves and
+    every path's sum of a many-path integral; returns the list of checked
+    calls by kind (one entry per path)."""
     seen = {"route": [], "split": [], "pieces": []}
-    route_, split_, pieces_ = hyp_mod.route, split_polyline, integrate_pieces
+    route_, path_, split_, pieces_ = (hyp_mod.route, geo_mod.RouteTree.path,
+                                      split_polyline, integrate_pieces)
 
-    def routed(*args, **kwargs):
-        got, want = _same_outcome(route_, _ref_route, *args, **kwargs)
+    def routed(new, *args, **kwargs):
+        got, want = _same_outcome(new, _ref_route, *args, **kwargs)
         assert got == want
         seen["route"].append(got)
         return got
+
+    def replayed(tree, z1):
+        return routed(lambda *_: path_(tree, z1), tree.z0, z1, tree.cuts,
+                      tree.margin, tree.clear_points)
 
     def split(*args, **kwargs):
         got, want = _same_outcome(split_, _ref_split_polyline, *args, **kwargs)
@@ -380,13 +399,17 @@ def _compare_path_layer(monkeypatch):
         seen["split"].append(got)
         return got
 
-    def pieces(f, ps, tol=1e-12):
-        got, want = pieces_(f, ps, tol), _ref_pieces(f, ps, tol)
-        assert got.tobytes() == want.tobytes()
-        seen["pieces"].append(len(ps))
+    def pieces(f, paths, tol=1e-12):
+        got = pieces_(f, paths, tol)
+        assert len(got) == len(paths)
+        for sum_, ps in zip(got, paths):
+            assert sum_.tobytes() == _ref_pieces(f, ps, tol).tobytes()
+            seen["pieces"].append(len(ps))
         return got
 
-    monkeypatch.setattr(hyp_mod, "route", routed)
+    monkeypatch.setattr(hyp_mod, "route",
+                        lambda *args, **kwargs: routed(route_, *args, **kwargs))
+    monkeypatch.setattr(geo_mod.RouteTree, "path", replayed)
     for mod in (hyp_mod, rh_mod):
         monkeypatch.setattr(mod, "split_polyline", split)
     for mod in (hyp_mod, rh_mod):
@@ -405,18 +428,19 @@ def test_sample_solve_paths_match_scalar_reference(genus, monkeypatch):
     assert len(seen["split"]) > 20 and len(seen["pieces"]) > 20
 
 
-def _random_curve(rng, g):
-    """Branch points in [-2, 2]^2, 0.3 apart and 0.25 off the other cuts."""
+def _random_curve(rng, g, minsep=0.3, gap=(0.25, np.inf)):
+    """Branch points in [-2, 2]^2, minsep apart, the smallest distance from
+    a branch point to a cut it does not bound strictly inside gap."""
     while True:
         pts = rng.uniform(-2, 2, 2 * g + 2) + 1j * rng.uniform(-2, 2, 2 * g + 2)
         try:
             curve = HyperellipticCurve(pts)
         except hyp_mod.CrossingCuts:
             continue
-        if curve.min_separation > 0.3 and all(
-                _ref_point_segment_distance(p, a, b) > 0.25
+        if curve.min_separation > minsep and gap[0] < min(
+                _ref_point_segment_distance(p, a, b)
                 for p in curve.points for a, b in curve.cuts
-                if p != a and p != b):
+                if p != a and p != b) < gap[1]:
             return curve
 
 
@@ -457,6 +481,51 @@ def test_stacked_pieces_bisect_beside_converged_ones(monkeypatch):
         return segment(f, z0, z1, tol, max_depth, _depth)
 
     monkeypatch.setattr(quad_mod, "integrate_segment", traced)
-    got = integrate_pieces(f, ps)
-    assert got.tobytes() == _ref_pieces(f, ps).tobytes()
+    got = integrate_pieces(f, [ps])
+    assert got.shape == (1, 2)
+    assert got[0].tobytes() == _ref_pieces(f, ps).tobytes()
     assert (0, 2) in depths and any(d > 0 for d, _ in depths)
+    # many paths: still one stacked call per sheet, each sum unchanged
+    paths = [ps, ps[1:], ps[:1], ps[2:3]]
+    depths.clear()
+    got = integrate_pieces(f, paths)
+    assert [d for d in depths if d[0] == 0] == [(0, 5), (0, 4)]
+    for sum_, path in zip(got, paths):
+        assert sum_.tobytes() == _ref_pieces(f, path).tobytes()
+
+
+def test_tree_routes_match_the_reference_on_a_sweep():
+    # seeded g1-g4 curves, plain and with tight cuts, two sources each, all
+    # four clearance rungs of sheet1_route, 30 targets per source and rung:
+    # each tree route equals the one-target scalar reference bit for bit,
+    # or both raise.  The one-target route, which a tree falls back to when
+    # a corner ties the target's distance within 2e-15, is checked on
+    # every tenth target
+    routed = failed = 0
+    for g in (1, 2, 3, 4):
+        for tight in (False, True):
+            rng = np.random.default_rng([11, g, tight])
+            curve = _random_curve(rng, g, 0.5,
+                                  (0.0, 0.05) if tight else (0.25, np.inf))
+            for _ in range(2):
+                z0 = complex(*rng.uniform(-2.5, 2.5, 2))
+                for frac in hyp_mod._ROUTE_FRACS:
+                    margin = frac * curve.min_separation
+                    tree = RouteTree(z0, curve.cuts, margin, curve.points)
+                    for k in range(30):
+                        z1 = complex(*rng.uniform(-2.5, 2.5, 2))
+                        try:
+                            want = _ref_route(z0, z1, curve.cuts, margin,
+                                              curve.points)
+                        except RoutingFailure:
+                            with pytest.raises(RoutingFailure):
+                                tree.path(z1)
+                            failed += 1
+                            continue
+                        assert tree.path(z1) == want
+                        if len(want) > 2:
+                            routed += 1
+                            if k % 10 == 0:
+                                assert route(z0, z1, curve.cuts, margin,
+                                             curve.points) == want
+    assert routed > 500 and failed > 0

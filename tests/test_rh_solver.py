@@ -634,6 +634,50 @@ def test_logarithmic_derivative_is_rational(sol1):
         assert sol1.ode_residual(z, rs) < 1e-8
 
 
+def test_psi_eval_checks_regularity_before_routing(monkeypatch):
+    # at a branch point psi_eval refuses at once, as psi and psi_pair do,
+    # instead of routing there and failing the quadrature
+    sol = _sample_solution(2)
+    routes = []
+    route = PeriodData.sheet1_route
+
+    def counted(self, z0, z1):
+        routes.append(z1)
+        return route(self, z0, z1)
+
+    monkeypatch.setattr(PeriodData, "sheet1_route", counted)
+    for p in sol.curve.points:
+        for evaluate in (sol.psi_eval, sol.psi, sol.psi_pair):
+            with pytest.raises(SingularPoint):
+                evaluate(p)
+    assert routes == []
+
+
+def test_stacked_points_match_one_by_one(sol2):
+    # a stack shares one germ integral and one _assemble; its germs equal
+    # the one-point germs bit for bit, and its matrices differ from them
+    # only by the rounding of stacked theta sums; a scalar stays a scalar
+    rng = np.random.default_rng(23)
+    zs = np.array([_rand_regular(sol2, rng) for _ in range(7)])
+    stacked = RHSolution(sol2.periods, None, sol2.lambda0, kernel=sol2.kc)
+    single = RHSolution(sol2.periods, None, sol2.lambda0, kernel=sol2.kc)
+    psi = stacked.psi(np.append(zs, sol2.lambda0))
+    assert psi.shape == (8, 2, 2) and np.array_equal(psi[-1], np.eye(2))
+    pair = stacked.psi_pair(zs)
+    assert pair[0].shape == pair[1].shape == (7, 2, 2)
+    U1, h1, h2, routes = stacked._germ(zs)
+    for j, z in enumerate(zs):
+        U, a, b, verts = single._germ(z)
+        assert U.tobytes() == U1[:, j].tobytes()
+        assert (a, b, verts) == (h1[j], h2[j], routes[j])
+        one = single.psi(z)
+        assert one.shape == (2, 2)
+        assert np.max(np.abs(one - psi[j])) <= 1e-14 * np.max(np.abs(one))
+        for got, want in zip(pair, single.psi_pair(z)):
+            assert (np.max(np.abs(got[j] - want))
+                    <= 1e-14 * np.max(np.abs(want)))
+
+
 def test_singular_points_rejected(sol1):
     with pytest.raises(SingularPoint):
         sol1.psi(1.0)
