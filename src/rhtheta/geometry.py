@@ -7,10 +7,10 @@ sheet of the square root carried along the path.  All routines here are
 deterministic functions of their inputs so that downstream period matrices
 and monodromy loops are reproducible bit for bit.  Crossing tests broadcast:
 one call tests every segment of a path against every cut, and every edge of
-a routing graph against every cut and clearance point.  Routes from one
-source share one ``RouteTree``, a shortest-path tree whose graph is built
-and searched once for many targets; each of its paths is bit for bit the
-one-target ``route``.
+a routing graph against every cut and clearance point.  Every route is a
+path of a ``RouteTree``, a shortest-path tree whose graph is built and
+searched once for all targets from one source; ``route`` is a tree with
+one target.
 """
 
 from __future__ import annotations
@@ -98,27 +98,24 @@ def _blocked(p, q, cuts, margin, clear_points):
 class RouteTree:
     """Shortest cut-avoiding polylines from one source z0 to any target.
 
-    The graph is that of ``route``: the source, the target and corner
-    points fanned around every cut endpoint at radius ``margin``, with an
-    edge wherever ``_blocked`` allows one.  The tree holds the source and
-    the corners; Dijkstra's search (Dijkstra 1959) settles them lazily,
-    only until the asked-for target settles, and keeps them for the next
-    target.  A target's path replays ``route``'s rule over the kept order
-    bit for bit: ``route`` lists the target right after the source, so it
-    settles once no open corner is nearer by more than 1e-15, and its
-    predecessor is the first settled node that improves its distance by
-    more than 1e-12.  Corners settle in the same order with or without a
-    target unless a corner's distance ties the target's within 2e-15;
-    such a target is routed by ``route`` itself.  Not safe for concurrent
-    use.
+    The graph's nodes are the source, the target and corner points fanned
+    around every cut endpoint at radius ``margin``, with an edge wherever
+    ``_blocked`` allows one.  The tree holds the source and the corners;
+    Dijkstra's search (Dijkstra 1959) settles them lazily, only until the
+    asked-for target settles, and keeps them for the next target.  A
+    target settles once no open corner is nearer by more than 1e-15, and
+    its predecessor is the first settled node that improves its distance
+    by more than 1e-12.  No target changes the order the corners settle
+    in, so a path does not depend on the targets asked before it.  Not
+    safe for concurrent use.
     """
 
-    def __init__(self, z0, cuts, margin, clear_points=(), via=()):
+    def __init__(self, z0, cuts, margin, clear_points=()):
         self.z0, self.cuts, self.margin = z0, cuts, margin
         self.clear_points = clear_points
-        self.nodes = [z0, *via] + _corners(cuts, margin)
+        self.nodes = [z0] + _corners(cuts, margin)
         zs = self._zs = np.array(self.nodes, dtype=complex)
-        self._blocked = _blocked(zs, zs, cuts, margin, clear_points)
+        self._edges = None          # clear edges, built with the first target
         self._length = np.abs(zs[None, :] - zs[:, None])
         n = len(zs)
         self._dist = np.full(n, np.inf)
@@ -126,119 +123,67 @@ class RouteTree:
         self._prev = np.full(n, -1, dtype=int)
         self._done = np.zeros(n, dtype=bool)
         self._order = []            # settled nodes, in settling order
-        # what ``path`` replays: the distance each node was picked at, the
-        # step it settled at, and all distances before each step; a tree
-        # holding its target as a node is searched once and keeps none
-        self._best = []
-        self._rank = None if via else np.full(n, n)
-        self._seen = None if via else np.empty((n, n))
 
-    def _pick(self):
-        """Next node to settle and its distance, by ``route``'s scan; -1
-        once no reachable node is open."""
+    def _grow(self):
+        """Relax from the node settled last (paths read only settled
+        nodes; relaxing twice changes nothing), then settle the next one,
+        picked by a scan in node order where a node displaces the pick only
+        when nearer by more than 1e-15; False once none is reachable."""
+        if self._order:
+            u = self._order[-1]
+            nd = self._dist[u] + self._length[u]
+            better = self._edges[u] & ~self._done & (nd < self._dist - 1e-12)
+            self._dist[better] = nd[better]
+            self._prev[better] = u
         u_idx, best = -1, np.inf
         for i, (d, fixed) in enumerate(zip(self._dist.tolist(),
                                            self._done.tolist())):
             if not fixed and d < best - 1e-15:
                 best, u_idx = d, i
-        return u_idx, best
-
-    def _settle(self, u_idx, best):
-        """Settle node u_idx, picked at distance best, and relax from it."""
-        if self._seen is not None:
-            self._seen[len(self._order)] = self._dist
-            self._rank[u_idx] = len(self._order)
-            self._best.append(best)
+        if u_idx < 0:
+            return False
         self._order.append(u_idx)
         self._done[u_idx] = True
-        nd = self._dist[u_idx] + self._length[u_idx]
-        better = (~self._done & ~self._blocked[u_idx]
-                  & (nd < self._dist - 1e-12))
-        self._dist[better] = nd[better]
-        self._prev[better] = u_idx
-
-    def _grow(self):
-        """Settle the next node; False once no reachable node is open."""
-        u_idx, best = self._pick()
-        if u_idx >= 0:
-            self._settle(u_idx, best)
-        return u_idx >= 0
-
-    def _walk(self, v):
-        """Settled nodes from the source to node v."""
-        order = [v]
-        while order[-1] != 0:
-            order.append(self._prev[order[-1]])
-        return [self.nodes[i] for i in reversed(order)]
+        return True
 
     def path(self, z1):
-        """Polyline from the source to z1, bit for bit ``route``'s.
-
-        Every open corner lies at or above best - 1e-15, best the
-        distance the next corner was picked at, so the target settles
-        when that bound clears its distance less 1e-15 and a corner goes
-        first when best is below it.  In between, or when an open corner
-        lies in the window [d - 2e-15, d - 1e-15) below the target's
-        distance d, where ``route`` may pick another corner first, the
-        target goes to ``route``."""
-        t = np.array([z1], dtype=complex)
-        blocked = _blocked(self._zs, t, self.cuts, self.margin,
-                           self.clear_points)[:, 0]
+        """Polyline from the source to z1, straight when the direct edge
+        is clear; ``RoutingFailure`` when no path reaches z1."""
+        # the first target shares one broadcast with the corner matrix
+        cols = np.append(self._zs if self._edges is None else self._zs[:0], z1)
+        both = _blocked(self._zs, cols, self.cuts, self.margin,
+                        self.clear_points)
+        if self._edges is None:
+            self._edges = ~both[:, :-1]
+        blocked = both[:, -1].tolist()
         if not blocked[0]:
             return [self.z0, z1]
-        length = np.abs(t - self._zs)
-        d1, p1, steps, tie = np.inf, -1, [], False
-        k = 0
+        length = np.abs(z1 - self._zs).tolist()
+        d1, p1, k = np.inf, -1, 0
         while k < len(self._order) or self._grow():
-            hi = d1 - 1e-15
-            if not self._best[k] < hi:
-                tie = not self._best[k] - 1e-15 >= hi
-                break
             u = self._order[k]
-            if d1 < np.inf:
-                steps.append((k, hi))
-            nd = self._dist[u] + length[u]
+            du = self._dist.item(u)
+            if not du < d1 - 1e-15:
+                break
+            nd = du + length[u]
             if not blocked[u] and nd < d1 - 1e-12:
                 d1, p1 = nd, u
             k += 1
-        if steps and not tie:
-            ks, his = (np.array(v) for v in zip(*steps))
-            x = np.where(self._rank < ks[:, None], np.inf, self._seen[ks])
-            hi = his[:, None]
-            tie = np.any((x < hi) & ~(x < hi - 1e-15))
-        if tie:
-            return route(self.z0, z1, self.cuts, self.margin,
-                         self.clear_points)
-        if not np.isfinite(d1):
-            raise _unreachable(self.z0, z1)
-        return self._walk(p1) + [z1]
-
-
-def _unreachable(z0, z1):
-    return RoutingFailure(f"no cut-avoiding path from {z0:.4g} to {z1:.4g}")
+        if p1 < 0:
+            raise RoutingFailure(
+                f"no cut-avoiding path from {self.z0:.4g} to {z1:.4g}")
+        back = [p1]
+        while back[-1] != 0:
+            back.append(self._prev[back[-1]])
+        return [self.nodes[i] for i in reversed(back)] + [z1]
 
 
 def route(z0, z1, cuts, margin, clear_points=()):
-    """Deterministic polyline from z0 to z1 that crosses no cut.
-
-    Shortest path in a visibility graph whose nodes are the endpoints plus
-    corner points fanned around every cut endpoint at radius ``margin``.
-    An edge is blocked when it crosses a cut or passes closer than
-    0.6*margin to one of ``clear_points`` other than its own ends, which
-    keeps routed legs away from branch points.  The search of a
-    ``RouteTree`` that holds the target as its node 1: the direct edge is
-    checked first, and the search stops when the target settles.
-    """
-    tree = RouteTree(z0, cuts, margin, clear_points, via=(z1,))
-    if not tree._blocked[0, 1]:
-        return [z0, z1]
-    u_idx, best = tree._pick()
-    while u_idx not in (-1, 1):
-        tree._settle(u_idx, best)
-        u_idx, best = tree._pick()
-    if u_idx < 0:
-        raise _unreachable(z0, z1)
-    return tree._walk(1)
+    """Deterministic shortest polyline from z0 to z1 that crosses no cut
+    and passes no closer than 0.6*margin to one of ``clear_points`` other
+    than its own ends, which keeps routed legs away from branch points:
+    the path of a ``RouteTree`` from z0 with z1 its one target."""
+    return RouteTree(z0, cuts, margin, clear_points).path(z1)
 
 
 def split_polyline(cuts, vertices, closed=True, start_sign=1.0):

@@ -310,9 +310,10 @@ class PeriodData:
     def sheet1_route(self, z0, z1):
         """Cut-avoiding polyline between two plain points, with clearance
         fallbacks for tight configurations.  Routes from one source share
-        one ``RouteTree`` per clearance, kept, and each equals ``route`` bit
-        for bit.  When every clearance fails and an end point lies inside
-        the widest one of a branch point, the error names both."""
+        one ``RouteTree`` per clearance, kept; a kept tree routes every
+        target as a fresh one would.  When every clearance fails and an end
+        point lies inside the widest one of a branch point, the error names
+        both."""
         last = None
         for frac in _ROUTE_FRACS:
             key = (complex(z0), frac)
@@ -413,9 +414,8 @@ class PeriodData:
         for shrink in (0.5, 0.35, 0.22, 0.12):
             rho = shrink * self.curve.min_separation
             verts = ellipse_loop(c, u, abs(d) + rho, rho, n_sides)
-            pieces, events = [], None
             try:
-                pieces, events = split_polyline(self.curve.cuts, verts, closed=True)
+                _, events = split_polyline(self.curve.cuts, verts, closed=True)
             except LoopConstructionFailed:
                 continue
             if not events:

@@ -41,8 +41,7 @@ import numpy as np
 
 from .covering import validate_quasi_perm
 from .errors import (InconsistentLayout, LatticeExtractionFailed,
-                     LoopConstructionFailed, RelationViolated, RoutingFailure,
-                     SingularPoint)
+                     LoopConstructionFailed, RelationViolated, SingularPoint)
 from .geometry import point_segment_distance, split_polyline
 from .hyperelliptic import reference_node
 from .kernels import KernelContext
@@ -332,7 +331,7 @@ class RHSolution:
                                  + list(reversed(spur))[1:])
                         split_polyline(self.curve.cuts, verts, closed=False)
                         return verts
-                    except (RoutingFailure, LoopConstructionFailed) as exc:
+                    except LoopConstructionFailed as exc:
                         last = exc
         raise LoopConstructionFailed(
             f"no clear loop around branch point {n}: {last}")

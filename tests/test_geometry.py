@@ -374,24 +374,22 @@ def _same_outcome(new, ref, *args, **kwargs):
 
 
 def _compare_path_layer(monkeypatch):
-    """Patch route, route trees, split_polyline and integrate_pieces
-    wherever the package calls them with versions that check against the
-    scalar references: every one-off route, every route a tree serves and
+    """Patch route trees, split_polyline and integrate_pieces wherever
+    the package calls them with versions that check against the scalar
+    references: every route (a one-off route is a tree's one path) and
     every path's sum of a many-path integral; returns the list of checked
     calls by kind (one entry per path)."""
     seen = {"route": [], "split": [], "pieces": []}
-    route_, path_, split_, pieces_ = (hyp_mod.route, geo_mod.RouteTree.path,
-                                      split_polyline, integrate_pieces)
+    path_, split_, pieces_ = (geo_mod.RouteTree.path, split_polyline,
+                              integrate_pieces)
 
-    def routed(new, *args, **kwargs):
-        got, want = _same_outcome(new, _ref_route, *args, **kwargs)
+    def replayed(tree, z1):
+        got, want = _same_outcome(lambda *_: path_(tree, z1), _ref_route,
+                                  tree.z0, z1, tree.cuts, tree.margin,
+                                  tree.clear_points)
         assert got == want
         seen["route"].append(got)
         return got
-
-    def replayed(tree, z1):
-        return routed(lambda *_: path_(tree, z1), tree.z0, z1, tree.cuts,
-                      tree.margin, tree.clear_points)
 
     def split(*args, **kwargs):
         got, want = _same_outcome(split_, _ref_split_polyline, *args, **kwargs)
@@ -407,8 +405,6 @@ def _compare_path_layer(monkeypatch):
             seen["pieces"].append(len(ps))
         return got
 
-    monkeypatch.setattr(hyp_mod, "route",
-                        lambda *args, **kwargs: routed(route_, *args, **kwargs))
     monkeypatch.setattr(geo_mod.RouteTree, "path", replayed)
     for mod in (hyp_mod, rh_mod):
         monkeypatch.setattr(mod, "split_polyline", split)
@@ -498,9 +494,10 @@ def test_tree_routes_match_the_reference_on_a_sweep():
     # seeded g1-g4 curves, plain and with tight cuts, two sources each, all
     # four clearance rungs of sheet1_route, 30 targets per source and rung:
     # each tree route equals the one-target scalar reference bit for bit,
-    # or both raise.  The one-target route, which a tree falls back to when
-    # a corner ties the target's distance within 2e-15, is checked on
-    # every tenth target
+    # or both raise.  The reference lists the target among the corners; no
+    # swept target meets a corner whose distance ties its own within
+    # 2e-15, where the two rules could settle corners in another order.
+    # The one-target route, a fresh tree, is checked on every tenth target
     routed = failed = 0
     for g in (1, 2, 3, 4):
         for tight in (False, True):

@@ -9,11 +9,13 @@ Prints one JSON object.  Curves are the benchmark's seeded recipe,
 ``clear_point(rng, pts, 0.15)`` and characteristic ``random_char(rng, g)``
 from ``rhbench/workloads.py`` of this checkout, plus the two samples.
 
-* ``route_ms``: per target, a one-target ``geometry.route`` against a
-  replay of one ``RouteTree`` built from the same source (its build
-  included, spread over the targets), at the first clearance rung, 30
-  targets per curve, s = 0..2, best of --reps; the tree is null where the
-  checkout has none.
+* ``route_ms``: per target, a one-target ``geometry.route`` (a fresh
+  search per target) against a replay of one ``RouteTree`` built from the
+  same source (its build included, spread over the targets), at the first
+  clearance rung, 30 targets per curve, s = 0..2, best of --reps; the tree
+  is null where the checkout has none.
+* ``periods_ms``: ``compute_periods`` on the same curves, median over
+  s = 0..2 of the best of --reps.
 * ``searches_per_solve``: shortest-path searches in one in-process
   ``solve`` on each curve: ``RouteTree`` builds where the checkout has
   them, ``route`` calls otherwise.
@@ -69,11 +71,11 @@ def main():
     theta = importlib.import_module("rhtheta.theta")
     tree_cls = getattr(geo, "RouteTree", None)
     out = {"src": args.src, "reps": args.reps, "route_ms": {},
-           "searches_per_solve": {}, "grid_ms": {}, "monodromies_ms": {},
-           "solve_s": {}, "verify_s": {}}
+           "periods_ms": {}, "searches_per_solve": {}, "grid_ms": {},
+           "monodromies_ms": {}, "solve_s": {}, "verify_s": {}}
 
     for g in (1, 2, 3, 4):
-        one, tree = [], []
+        one, tree, periods = [], [], []
         for s in range(3):
             pts, lam0, _, rng = seeded(wl, g, s)
             curve = hyp.HyperellipticCurve(pts)
@@ -95,12 +97,15 @@ def main():
                     except hyp.RoutingFailure:
                         pass
 
+            periods.append(best_ms(lambda: hyp.compute_periods(curve),
+                                   args.reps))
             one.append(best_ms(one_target, args.reps) / len(targets))
             if tree_cls is not None:
                 tree.append(best_ms(replay, args.reps) / len(targets))
         out["route_ms"][f"g{g}"] = {
             "route": float(np.median(one)),
             "tree": float(np.median(tree)) if tree else None}
+        out["periods_ms"][f"g{g}"] = float(np.median(periods))
 
     cases = {f"sample_g{g}": (ROOT / "samples" / f"curve_g{g}.json",
                               ROOT / "samples" / f"char_g{g}.json")
