@@ -16,11 +16,11 @@ Conventions fixed here and relied on everywhere else:
 * The Abel map is based at the first sorted branch point and is kept on the
   universal cover: continuation along a path never folds values back into
   the period lattice.  Every route starts one hop out, at the reference
-  node of branch point 0 (``reference_node``).  A branch point's value is
-  hopped back from its own reference node, and points on a circle around
-  it are hopped out of that value.  ``PeriodData.abel`` keeps every
-  sheet-1 value it computes, so all callers on one curve share one value
-  per point and per branch point.
+  node of branch point 0 (``reference_node``).  ``route_integrals`` routes
+  and integrates the paths of Abel values and solution germs alike;
+  ``branch_abel`` hops each branch point's value back from its own node,
+  and points near a branch point are hopped out of that value.  Every
+  sheet-1 value is kept, so all callers on one curve share it.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from .geometry import (
     segment_crossing,
     split_polyline,
 )
-from .quadrature import (integrate_circle, integrate_pieces, integrate_segment,
-                         integrate_substituted)
+from .quadrature import integrate_circle, integrate_pieces, integrate_segment
 from .theta import ThetaContext
 
 # Retry ladder for homology-loop construction: (margin, stub) as fractions
@@ -206,14 +205,16 @@ class PeriodData:
     b_pieces: list
     gram: np.ndarray
     _anchor: tuple = field(default=None, repr=False)
-    # sheet-1 Abel values by point, and by ("branch", m) for branch points
+    # sheet-1 Abel values by point; of the branch points, (g, M)
     _abel: dict = field(default_factory=dict, repr=False)
+    _branch_abel: np.ndarray = field(default=None, repr=False)
     _theta_context: ThetaContext = field(default=None, repr=False)
     # route trees by (source, clearance rung), built on first use
     _trees: dict = field(default_factory=dict, repr=False)
     _moved: dict = field(default_factory=dict, repr=False)
-    # kept by kernels.even_subset_characteristics
+    # kept by kernels.even_subset_characteristics, with theta constants
     _even_subsets: tuple = field(default=None, repr=False)
+    _subset_thetas: tuple = field(default=None, repr=False)
 
     @property
     def theta_context(self):
@@ -304,7 +305,9 @@ class PeriodData:
         if self._anchor is None:
             z = reference_node(self.curve.points, 0)
             dU, sign = self._hop(0, [z])
-            self._anchor = (z, sign[0] * dU[:, 0])
+            U = sign[0] * dU[:, 0]
+            U.flags.writeable = False
+            self._anchor = (z, self._abel.setdefault(complex(z), U))
         return self._anchor
 
     def sheet1_route(self, z0, z1):
@@ -339,36 +342,56 @@ class PeriodData:
                 ) from last
         raise last
 
-    def abel(self, lam=None, sheet=1, branch_index=None):
-        """Abel map of a surface point, based at the first branch point.
+    def route_integrals(self, z0, zs):
+        """Integrals of v (N, g) along the ``sheet1_route`` routes from z0 to
+        each of zs, in one stacked call, and the routes; every route must
+        cross cuts an even number of times."""
+        routes, paths = [], []
+        for z in zs:
+            verts = self.sheet1_route(z0, z)
+            pieces, events = split_polyline(self.curve.cuts, verts,
+                                            closed=False)
+            if len(events) % 2:
+                raise LoopConstructionFailed(
+                    f"route from {z0:.4g} to {z:.4g} ends on sheet 2")
+            routes.append(verts)
+            paths.append(pieces)
+        dU = integrate_pieces(lambda z, s: self.differentials(z, s), paths)
+        return dU, routes
 
-        Interior points are reached on sheet 1 by a cut-avoiding route from
-        ``anchor_point``; the sheet-2 value is the exact negative (the
-        hyperelliptic involution fixes the basepoint).  branch_index selects a
-        branch point, reached by a straight hop back from its reference node,
-        outside every route clearance; the value agrees with any other route
-        up to a lattice vector.  Each value is computed once per point or
-        branch point and kept.
-        """
-        key = (complex(lam) if branch_index is None
-               else ("branch", int(branch_index)))
-        U = self._abel.get(key)
-        if U is None:
-            if branch_index is not None:
-                z = reference_node(self.curve.points, key[1])
-                dU, sign = self._hop(key[1], [z])
-                U = sign[0] * self.abel(z) - dU[:, 0]
-            else:
-                z0, U = self.anchor_point()
-                if key != z0:
-                    path = self.sheet1_route(z0, key)
-                    dU, end_sign = self.continue_abel(path, closed=False)
-                    if end_sign != 1.0:
-                        raise LoopConstructionFailed("abel route crossed a cut")
-                    U = U + dU
-            U.flags.writeable = False
-            U = self._abel.setdefault(key, U)
-        return U if sheet == 1 or branch_index is not None else -U
+    def abel(self, lam, sheet=1):
+        """Abel map based at the first branch point, (g,) at one point or
+        (g, N) at a stack (N,).  New points are reached on sheet 1 from
+        ``anchor_point`` in one ``route_integrals`` call; the sheet-2 value
+        is the exact negative (the hyperelliptic involution fixes the
+        basepoint).  Each sheet-1 value is kept read-only, and is the same
+        alone or among many."""
+        zs = [complex(z) for z in np.ravel(lam)]
+        z0, U0 = self.anchor_point()
+        new = [z for z in dict.fromkeys(zs) if z not in self._abel]
+        if new:
+            dU, _ = self.route_integrals(z0, new)
+            for z, U in zip(new, U0 + dU):
+                U.flags.writeable = False
+                self._abel.setdefault(z, U)
+        U = (np.stack([self._abel[z] for z in zs], axis=1) if np.ndim(lam)
+             else self._abel[zs[0]])
+        return U if sheet == 1 else -U
+
+    def branch_abel(self):
+        """Abel values (g, M) of the branch points, kept read-only: one
+        ``abel`` call over their reference nodes, then a straight hop back
+        from each; equal to any other route's up to lattice vectors."""
+        if self._branch_abel is None:
+            pts = self.curve.points
+            nodes = [reference_node(pts, m) for m in range(len(pts))]
+            out = self.abel(nodes)      # a fresh stack of the kept values
+            for m, z in enumerate(nodes):
+                dU, sign = self._hop(m, [z])
+                out[:, m] = sign[0] * out[:, m] - dU[:, 0]
+            out.flags.writeable = False
+            self._branch_abel = out
+        return self._branch_abel
 
     def abel_near_branch(self, m, zs):
         """Sheet-1 Abel values (g, N), up to lattice vectors, at zs near branch
@@ -376,7 +399,7 @@ class PeriodData:
         point, all in one rule.  A hop ending on sheet 2 negates, as
         U(z, 1) = -U(z, 2)."""
         dU, sign = self._hop(m, zs)
-        return sign * (self.abel(branch_index=m)[:, None] + dU)
+        return sign * (self.branch_abel()[:, m, None] + dU)
 
     def continue_abel(self, vertices, closed=False, start_sign=1.0):
         """Integral of v along a polyline with sheet tracking.
@@ -466,7 +489,7 @@ def _a_periods(curve, tol=1e-12):
             return 2j * pw / other
 
         try:
-            A[k] = integrate_substituted(f, tol=tol)
+            A[k] = integrate_segment(f, -np.pi / 2, np.pi / 2, tol=tol)
         except QuadratureFailure as exc:
             i, j = curve.cut_index_pairs[k]
             raise QuadratureFailure(

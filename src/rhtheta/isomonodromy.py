@@ -300,20 +300,21 @@ def thomae_ratios(periods):
     """Fourth powers of the subset theta constants over their product
     formula, normalized by (2 pi i)^2g; the values are +-1.
 
-    One ratio per even subset characteristic, in the subset order.
+    One ratio per even subset characteristic, in the subset order; the
+    theta constants are the ones ``even_subset_characteristics`` kept.
     """
     points = periods.curve.points
     det_a = np.linalg.det(periods.A)
     g = periods.curve.genus
     out = []
-    for T, ch in even_subset_characteristics(periods):
+    subsets = even_subset_characteristics(periods)
+    for (T, _), th in zip(subsets, periods._subset_thetas):
         Tc = [n for n in range(len(points)) if n not in T]
         prod = 1.0
         for group in (list(T), Tc):
             for i, mm in enumerate(group):
                 for nn in group[i + 1:]:
                     prod *= points[mm] - points[nn]
-        th = complex(theta(np.zeros(g), periods.theta_context, ch))
         out.append(th ** 4 * (2j * np.pi) ** (2 * g) / (det_a ** 2 * prod))
     return np.array(out)
 

@@ -53,8 +53,8 @@ def riemann_constant(periods):
     g = periods.curve.genus
     B, ctx = periods.B, periods.theta_context
     n_pts = len(periods.curve.points)
-    U = [periods.abel(branch_index=m) for m in range(n_pts)]
-    divisors = [sum((U[m] for m in D), np.zeros(g, dtype=complex))
+    U = periods.branch_abel()
+    divisors = [sum((U[:, m] for m in D), np.zeros(g, dtype=complex))
                 for D in itertools.combinations(range(n_pts), g - 1)]
     gate = _SCAN_TOL * abs(theta(np.zeros(g), ctx))
 
@@ -79,8 +79,9 @@ def even_subset_characteristics(periods):
     B p + q = sum_{m in T} U(m) - K for half-integer p, q; the resulting
     characteristics are even and their theta constants nonzero.  Returns
     ((T, char), ...) in lexicographic subset order, computed on first use
-    and kept on the period data, so a curve pays for one Riemann-constant
-    scan.
+    and kept on the period data with the theta constants of the vanishing
+    gate, so a curve pays for one Riemann-constant scan and one theta
+    constant per subset.
     """
     if periods._even_subsets is not None:
         return periods._even_subsets
@@ -88,12 +89,12 @@ def even_subset_characteristics(periods):
     B = periods.B
     K = riemann_constant(periods)
     n_pts = len(periods.curve.points)
-    U = [periods.abel(branch_index=m) for m in range(n_pts)]
-    out = []
+    U = periods.branch_abel()
+    out, thetas = [], []
     for T in itertools.combinations(range(n_pts), g + 1):
         if T[0] != 0:
             continue
-        z = sum((U[m] for m in T), np.zeros(g, dtype=complex)) - K
+        z = sum((U[:, m] for m in T), np.zeros(g, dtype=complex)) - K
         p = 0.5 * np.rint(2.0 * np.linalg.solve(B.imag, z.imag))
         q = 0.5 * np.rint(2.0 * (z - B @ p).real)
         res = z - (B @ p + q)
@@ -104,9 +105,12 @@ def even_subset_characteristics(periods):
         ch = ThetaChar.from_arrays(np.mod(p, 1.0), np.mod(q, 1.0))
         if ch.parity() != 1:
             raise RelationViolated(f"subset {T} characteristic is odd")
-        if abs(theta(np.zeros(g), periods.theta_context, ch)) < _SUBSET_TOL:
+        th = complex(theta(np.zeros(g), periods.theta_context, ch))
+        if abs(th) < _SUBSET_TOL:
             raise RelationViolated(f"subset {T} theta constant vanishes")
         out.append((T, ch))
+        thetas.append(th)
+    periods._subset_thetas = tuple(thetas)
     periods._even_subsets = tuple(out)
     return periods._even_subsets
 

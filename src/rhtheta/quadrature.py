@@ -117,15 +117,6 @@ def integrate_pieces(f, paths, tol=1e-12):
     return np.stack(sums)
 
 
-def integrate_substituted(f, tol=1e-12):
-    """Integral of f over t in [-pi/2, pi/2] by adaptive Gauss-Legendre.
-
-    Used with the sine substitution that removes inverse square-root
-    endpoint singularities of cut-collapsed period integrals.
-    """
-    return integrate_segment(f, -np.pi / 2, np.pi / 2, tol=tol)
-
-
 def integrate_circle(f, center, radius, tol=1e-11, max_n=16384, phase=0.0):
     """Counterclockwise contour integral of f around a circle.
 

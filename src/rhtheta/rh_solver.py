@@ -8,10 +8,10 @@ and the normalization point on sheet k+1, times the scalar prime factor
 normalization point along a deterministic cut-avoiding route, so the
 matrix is normalized to the identity at lambda_0, has determinant one
 everywhere, and its logarithmic derivative is a single-valued rational
-matrix function with simple poles at the branch points.  ``psi`` and
-``psi_pair`` take one point or a stack of points: every point gets its own
-route and spinor continuation, and a stack shares one Abel integral over
-all its routes and one theta evaluation per characteristic.
+matrix function with simple poles at the branch points.  ``psi``,
+``psi_pair`` and ``ode_matrix`` take one point or a stack of points; germ
+routes come from ``PeriodData.route_integrals``, and a stack shares one
+Abel integral and one theta evaluation per characteristic.
 
 The spinor h is const * prod_m (lambda - lambda_m)^e_m up to sign, and
 the exponents e_m = ``KernelContext.h_exponents`` fix its continuation, its
@@ -24,8 +24,9 @@ Monodromy matrices come from continuing both columns around explicit
 basepointed loops; each continued column lands on the other sheet with a
 period-lattice shift and a spinor sign, and those data give the nonzero
 entries in closed form; the Abel integrals of all loops share one stacked
-call.  Residue matrices come in closed form from theta
-values and derivatives at the Abel images of the branch points.
+call.  Residue matrices come in closed form from theta values and
+derivatives at the Abel images of the branch points; the first ``residue``
+call checks them all against one stacked ``ode_matrix`` call.
 
 Psi_lambda Psi^-1 does not depend on the germ: another lattice shift of
 the Abel value or spinor sign multiplies Psi on the right by a constant
@@ -62,17 +63,6 @@ _SPUR_WIDENINGS = (1.0, 1.25, 0.8, 0.65)
 # fan-correct side of every other point; nonzero fallbacks only move a
 # chord that grazes a cut, and the splice side stays order-controlled.
 _ENTRY_SKEWS = (0.0, 0.35, -0.35, 0.7)
-
-
-@dataclass
-class PsiEvaluation:
-    """Solution matrix at one point together with its germ bookkeeping."""
-
-    lam: complex
-    matrix: np.ndarray
-    route_vertices: list
-    abel_value: np.ndarray
-    spinor_values: tuple
 
 
 @dataclass
@@ -148,43 +138,32 @@ class RHSolution:
         normalization point along the deterministic cut-avoiding route.
 
         lam is one point or a stack (N,); a stack returns U1 (g, N), h1 and
-        h2 (N,) and the list of routes.  Every new point gets its own route,
-        sheet check and spinor continuation, and all share one stacked Abel
-        integral; each value is the same alone or among many, and kept."""
+        h2 (N,) and the list of routes.  The new points share one
+        ``route_integrals`` call, and each continues the spinor along its
+        own route; each value is the same alone or among many, and kept."""
         zs = [complex(z) for z in np.ravel(lam)]
         new = [z for z in dict.fromkeys(zs) if z not in self._germ_cache]
-        routes, paths, spinors = [], [], []
-        for z in new:
-            verts = self.periods.sheet1_route(self.lambda0, z)
-            pieces, events = split_polyline(self.curve.cuts, verts,
-                                            closed=False)
-            if len(events) % 2:
-                raise LoopConstructionFailed("germ route crossed a cut")
-            _, h1 = self.kc.continue_h_along(
-                [(a, b, 1.0) for a, b in zip(verts, verts[1:])])
-            routes.append(verts)
-            paths.append(pieces)
-            spinors.append(h1)
         if new:
-            dU = integrate_pieces(
-                lambda z, s: self.periods.differentials(z, s), paths)
-            for z, d, h1, verts in zip(new, dU, spinors, routes):
+            dU, routes = self.periods.route_integrals(self.lambda0, new)
+            for z, d, verts in zip(new, dU, routes):
+                _, h1 = self.kc.continue_h_along(
+                    [(a, b, 1.0) for a, b in zip(verts, verts[1:])])
                 self._germ_cache[z] = (self.U0 + d, h1, self._flip * h1, verts)
         germs = [self._germ_cache[z] for z in zs]
         if np.ndim(lam) == 0:
             return germs[0]
-        U1 = np.array([germ[0] for germ in germs], dtype=complex)
-        return (U1.reshape(-1, self.curve.genus).T,
-                np.array([germ[1] for germ in germs], dtype=complex),
-                np.array([germ[2] for germ in germs], dtype=complex),
-                [germ[3] for germ in germs])
+        U1, h1, h2, routes = zip(*germs)
+        return (np.array(U1, dtype=complex).T, np.array(h1, dtype=complex),
+                np.array(h2, dtype=complex), list(routes))
 
-    def _check_regular(self, z, derivative=False):
-        if min(abs(z - p) for p in self.curve.points) < 1e-9 * self.curve.scale:
-            raise SingularPoint(f"evaluation at a branch point ({z:.6g})")
-        if derivative and abs(z - self.lambda0) < 1e-9 * self.curve.scale:
-            raise SingularPoint(
-                "analytic derivative is assembled away from the basepoint")
+    def _check_regular(self, zs, derivative=False):
+        tol = 1e-9 * self.curve.scale
+        for z in zs:
+            if min(abs(z - p) for p in self.curve.points) < tol:
+                raise SingularPoint(f"evaluation at a branch point ({z:.6g})")
+            if derivative and abs(z - self.lambda0) < tol:
+                raise SingularPoint(
+                    "analytic derivative is assembled away from the basepoint")
 
     # -- evaluation -------------------------------------------------------
 
@@ -198,18 +177,11 @@ class RHSolution:
         base = np.abs(zs - self.lambda0) < 1e-12 * self.curve.scale
         out[base] = np.eye(2)
         moving = zs[~base]
-        for z in moving:
-            self._check_regular(z)
+        self._check_regular(moving)
         if len(moving):
             U1, h1, h2, _ = self._germ(moving)
             out[~base] = self._assemble(moving, U1, (h1, h2))[0]
         return out if np.ndim(lam) else out[0]
-
-    def psi_eval(self, lam):
-        z = complex(lam)
-        self._check_regular(z)
-        U1, h1, h2, verts = self._germ(z)
-        return PsiEvaluation(z, self.psi(z), verts, U1, (h1, h2))
 
     def _assemble(self, zs, U1, hs):
         """Psi and its analytic lambda derivative, (N, 2, 2) each, at points
@@ -244,21 +216,22 @@ class RHSolution:
         """Matrix and its analytic lambda derivative in one pass, at one
         point or a stack (N,) of them, as ``psi``."""
         zs = np.ravel(np.asarray(lam, dtype=complex))
-        for z in zs:
-            self._check_regular(z, derivative=True)
+        self._check_regular(zs, derivative=True)
         U1, h1, h2, _ = self._germ(zs)
         psi, dpsi = self._assemble(zs, U1, (h1, h2))
         return (psi, dpsi) if np.ndim(lam) else (psi[0], dpsi[0])
 
     def ode_matrix(self, lam):
-        """Logarithmic derivative; a rational function with simple poles
-        at the branch points, independent of germ conventions, so it is
-        assembled from the kept Abel value of lam and principal spinors."""
-        z = complex(lam)
-        self._check_regular(z, derivative=True)
-        hs = (self.kc.h(z, 1), self.kc.h(z, 2))
-        psi, dpsi = self._assemble([z], self.periods.abel(z)[:, None], hs)
-        return (dpsi @ np.linalg.inv(psi))[0]
+        """Logarithmic derivative at one point or a stack, as ``psi_pair``;
+        a rational function with simple poles at the branch points,
+        independent of germ conventions, so it is assembled from the kept
+        Abel values of lam and principal spinors."""
+        zs = np.ravel(np.asarray(lam, dtype=complex))
+        self._check_regular(zs, derivative=True)
+        hs = (self.kc.h(zs, 1), self.kc.h(zs, 2))
+        psi, dpsi = self._assemble(zs, self.periods.abel(zs), hs)
+        ode = dpsi @ np.linalg.inv(psi)
+        return ode if np.ndim(lam) else ode[0]
 
     # -- monodromy loops --------------------------------------------------
 
@@ -491,35 +464,39 @@ class RHSolution:
         b_0], [h0_2 a_1, h0_2 b_1]] up to column scales, and the residue is
         N diag(-1/4, 1/4) N^-1 (Kitaev & Korotkin, IMRN 1998; Deift, Its,
         Kapaev & Zhou, CMP 1999)."""
-        if self._residue_matrices is None:
-            kc, pd, pts = self.kc, self.periods, self.curve.points
-            divisor = kc.h_exponents > 0
-            Um = np.stack([pd.abel(branch_index=m) for m in range(len(pts))], 1)
-            c = np.stack([pd.numerators(p) for p in pts], 1)
-            N = np.empty((len(pts), 2, 2), dtype=complex)
-            for r, sgn in enumerate((1.0, -1.0)):
-                zeta = Um - sgn * self.U0[:, None]
-                et = theta_derivs(zeta, pd.theta_context, kc.char, order=1)
-                es = theta_derivs(zeta, pd.theta_context, kc.odd_char, order=2)
-                dS = (c * es.grad).sum(axis=0)
-                # first two Taylor coefficients of theta[*] along c
-                s0 = np.where(divisor, dS, es.value)
-                s1 = np.where(divisor, 0.5 * np.einsum("an,abn,bn->n", c,
-                                                       es.hess, c), dS)
-                a = et.value / s0
-                b = ((c * et.grad).sum(axis=0) - a * s1) / s0
-                N[:, r] = self.h0[r] * np.stack([a, b], axis=-1)
-            self._residue_matrices = N * [-0.25, 0.25] @ np.linalg.inv(N)
-        return self._residue_matrices
+        kc, pd, pts = self.kc, self.periods, self.curve.points
+        divisor = kc.h_exponents > 0
+        c = np.stack([pd.numerators(p) for p in pts], 1)
+        N = np.empty((len(pts), 2, 2), dtype=complex)
+        for r, sgn in enumerate((1.0, -1.0)):
+            zeta = pd.branch_abel() - sgn * self.U0[:, None]
+            et = theta_derivs(zeta, pd.theta_context, kc.char, order=1)
+            es = theta_derivs(zeta, pd.theta_context, kc.odd_char, order=2)
+            dS = (c * es.grad).sum(axis=0)
+            # first two Taylor coefficients of theta[*] along c
+            s0 = np.where(divisor, dS, es.value)
+            s1 = np.where(divisor, 0.5 * np.einsum("an,abn,bn->n", c,
+                                                   es.hess, c), dS)
+            a = et.value / s0
+            b = ((c * et.grad).sum(axis=0) - a * s1) / s0
+            N[:, r] = self.h0[r] * np.stack([a, b], axis=-1)
+        return N * [-0.25, 0.25] @ np.linalg.inv(N)
 
     def residue(self, n):
-        """Residue matrix of Psi_lambda Psi^-1 at branch point n, checked
-        against ``ode_matrix`` at the reference node of the branch point."""
-        err = self.ode_residual(reference_node(self.curve.points, n))
-        if not err <= 1e-8:
-            raise RelationViolated(f"residues miss ode_matrix at the reference "
-                                   f"node of branch point {n} by {err:.2e}")
-        return self._closed_residues()[n]
+        """Residue matrix of Psi_lambda Psi^-1 at branch point n.  The first
+        call checks every branch point's residue against ``ode_matrix`` at
+        its reference node, in one stacked call, and names the first miss."""
+        if self._residue_matrices is None:
+            pts, mats = self.curve.points, self._closed_residues()
+            err = self.ode_residual(
+                [reference_node(pts, m) for m in range(len(pts))], mats)
+            m = int(np.argmin(err <= 1e-8))
+            if not err[m] <= 1e-8:
+                raise RelationViolated(
+                    f"residues miss ode_matrix at the reference node of "
+                    f"branch point {m} by {err[m]:.2e}")
+            self._residue_matrices = mats
+        return self._residue_matrices[n]
 
     def residues(self):
         """Checked residues at every branch point, computed once and kept."""
@@ -532,15 +509,16 @@ class RHSolution:
                 sum_norm=float(np.max(np.abs(mats.sum(axis=0)))))
         return self._residue_set
 
-    def ode_residual(self, lam, residue_set=None):
-        """Defect of the rational form of the logarithmic derivative at a
-        test point, relative to max(1, |Psi_lambda Psi^-1|), with the closed
-        form residues unless a residue set is given; small values certify
-        the residues and the derivative at once."""
-        mats = (self._closed_residues() if residue_set is None
-                else residue_set.matrices)
-        ode = self.ode_matrix(lam)
-        rational = np.einsum("kij,k->ij", mats,
-                             1.0 / (complex(lam) - self.curve.points))
-        return float(np.max(np.abs(ode - rational))
-                     / max(1.0, np.max(np.abs(ode))))
+    def ode_residual(self, lam, mats):
+        """Defect of the rational form sum_k mats[k] / (lambda - lambda_k) of
+        the logarithmic derivative at a test point, relative to max(1,
+        |Psi_lambda Psi^-1|); small values certify the residue matrices mats
+        (M, 2, 2) and the derivative at once.  lam is one point, giving a
+        float, or a stack (N,), giving (N,) from one ``ode_matrix`` call."""
+        zs = np.ravel(np.asarray(lam, dtype=complex))
+        ode = self.ode_matrix(zs)
+        rational = np.einsum("kij,nk->nij", mats,
+                             1.0 / (zs[:, None] - self.curve.points))
+        err = (np.max(np.abs(ode - rational), axis=(1, 2))
+               / np.maximum(1.0, np.max(np.abs(ode), axis=(1, 2))))
+        return err if np.ndim(lam) else float(err[0])

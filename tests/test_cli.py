@@ -135,8 +135,10 @@ def test_solve_evaluates_paths_in_bulk(monkeypatch, genus):
 
     monkeypatch.setattr(hyp_mod, "RouteTree", building)
     monkeypatch.setattr(quad_mod, "integrate_segment", segmenting)
-    monkeypatch.setattr(rh_mod, "integrate_pieces",
-                        logged("pieces", rh_mod.integrate_pieces))
+    # germ routes integrate in hyperelliptic, monodromy loops in rh_solver
+    for mod in (hyp_mod, rh_mod):
+        monkeypatch.setattr(mod, "integrate_pieces",
+                            logged("pieces", mod.integrate_pieces))
     monkeypatch.setattr(rh_mod.RHSolution, "_assemble",
                         logged("assemble", rh_mod.RHSolution._assemble))
     monkeypatch.setattr(rh_mod.RHSolution, "monodromies", phased(

@@ -201,7 +201,7 @@ def test_theta_divisor_zeros_tau(sol1):
     assert abs(te.factor) > 0.1
 
 
-def test_subset_theta_products(sol1, sol2):
+def test_subset_theta_products(sol1, sol2, monkeypatch):
     # fourth powers of subset theta constants against the period
     # determinant and the split point products: unit modulus ratios of
     # subset-dependent sign
@@ -210,6 +210,13 @@ def test_subset_theta_products(sol1, sol2):
         assert np.max(np.abs(np.abs(ratios) - 1.0)) < 1e-10
         assert np.max(np.abs(ratios.imag)) < 1e-10
     assert np.max(np.abs(iso.thomae_ratios(sol1.periods) - 1.0)) < 1e-10
+    # the theta constants are the ones the subset characteristics keep
+    # from their vanishing gate; on fresh period data no theta is repeated
+    calls = []
+    monkeypatch.setattr(iso, "theta", lambda *args: calls.append(args))
+    ratios = iso.thomae_ratios(compute_periods(sol2.curve))
+    assert calls == []
+    assert ratios.tobytes() == iso.thomae_ratios(sol2.periods).tobytes()
 
 
 def test_branch_point_abel_values_near_a_tight_anchor():
@@ -225,7 +232,7 @@ def test_branch_point_abel_values_near_a_tight_anchor():
         for points in curves:
             pd = compute_periods(HyperellipticCurve(points))
             for m in range(4):
-                U = pd.abel(branch_index=m)
+                U = pd.branch_abel()[:, m]
                 _, _, res = pd.lattice_decompose(2.0 * U)
                 assert np.max(np.abs(res)) < 1e-10, m
             ratios = iso.thomae_ratios(pd)

@@ -18,7 +18,7 @@ from rhtheta.hyperelliptic import (_CIRCLE_PHASE, HyperellipticCurve,
 from rhtheta.isomonodromy import hamiltonians
 from rhtheta.kernels import KernelContext, even_subset_characteristics
 from rhtheta.quadrature import integrate_circle
-from rhtheta.rh_solver import PsiEvaluation, RHSolution
+from rhtheta.rh_solver import RHSolution
 from rhtheta.theta import ThetaChar
 
 
@@ -97,14 +97,12 @@ def test_analytic_derivative_matches_finite_difference(sol1, sol2):
 
 def test_evaluation_record(sol1):
     z = 0.8 - 1.7j
-    ev = sol1.psi_eval(z)
-    assert isinstance(ev, PsiEvaluation)
-    assert np.array_equal(ev.matrix, sol1.psi(z))
-    assert ev.route_vertices[0] == sol1.lambda0
-    assert ev.route_vertices[-1] == z
+    _, h1, h2, verts = sol1._germ(z)
+    assert verts[0] == sol1.lambda0
+    assert verts[-1] == z
     # the stored spinor germs square to the tagged algebraic values
-    assert abs(ev.spinor_values[0] ** 2 - sol1.kc.h_squared(z, 1)) < 1e-10
-    assert abs(ev.spinor_values[1] ** 2 - sol1.kc.h_squared(z, 2)) < 1e-10
+    assert abs(h1 ** 2 - sol1.kc.h_squared(z, 1)) < 1e-10
+    assert abs(h2 ** 2 - sol1.kc.h_squared(z, 2)) < 1e-10
 
 
 def test_flipped_spinor_track_is_a_constant_multiple(sol1, sol2, mon1, mon2):
@@ -526,8 +524,8 @@ def test_one_abel_route_per_branch_point(genus, monkeypatch):
 @pytest.mark.parametrize("genus", [1, 2])
 def test_residues_take_four_theta_calls_and_no_circle(genus, monkeypatch):
     # the closed form stacks all branch points into two theta_derivs calls
-    # per sign; the only other evaluations are the node checks, one
-    # ode_matrix call per branch point; no circle and no hop
+    # per sign; the only other evaluation is the node check, one
+    # ode_matrix call over the M reference nodes; no circle and no hop
     sol = _sample_solution(genus)
     M, g = len(sol.curve.points), sol.curve.genus
     thetas, odes, other = [], [], []
@@ -556,25 +554,35 @@ def test_residues_take_four_theta_calls_and_no_circle(genus, monkeypatch):
     monkeypatch.setattr(PeriodData, "abel_near_branch", refused("hop"))
     sol.residues()
     assert thetas == [(g, M)] * 4
-    assert len(odes) == M
+    assert [np.shape(lam) for lam in odes] == [(M,)]
     assert other == []
 
 
 def test_residue_checks_its_reference_node(sol1, monkeypatch):
-    # residues that disagree with ode_matrix at a branch point's reference
-    # node are refused, naming the branch point
+    # residues that disagree with ode_matrix at one branch point's
+    # reference node are refused, naming that branch point; the others'
+    # nodes are left exact
     fresh = RHSolution(sol1.periods, None, sol1.lambda0, kernel=sol1.kc)
+    node = hyp_mod.reference_node(sol1.curve.points, 2)
     ode = RHSolution.ode_matrix
-    monkeypatch.setattr(RHSolution, "ode_matrix",
-                        lambda self, z: ode(self, z) + 1e-6)
-    with pytest.raises(RelationViolated, match="branch point 2 "):
-        fresh.residue(2)
+
+    def perturbed(self, lam):
+        out = ode(self, lam)
+        out[np.ravel(lam) == node] += 1e-6
+        return out
+
+    monkeypatch.setattr(RHSolution, "ode_matrix", perturbed)
+    for n in (0, 2):
+        with pytest.raises(RelationViolated, match="branch point 2 "):
+            fresh.residue(n)
 
 
 def test_regular_formula_at_a_divisor_point_is_refused(monkeypatch):
     # the g2 sample has one branch point where Q and theta[*] vanish; the
     # regular formula there misses the node check.  Only the residue formula
-    # sees the exponents moved; ode_matrix reads the true ones.
+    # sees the exponents moved; ode_matrix reads the true ones.  The wrong
+    # matrix enters the rational form at every node, so the check names the
+    # first branch point; the miss is largest at the divisor point's node.
     sol = _sample_solution(2)
     kc, exponents = sol.kc, sol.kc.h_exponents
     assert np.count_nonzero(exponents > 0) == 1
@@ -588,28 +596,42 @@ def test_regular_formula_at_a_divisor_point_is_refused(monkeypatch):
         finally:
             kc.h_exponents = exponents
 
+    pts = sol.curve.points
+    nodes = [hyp_mod.reference_node(pts, m) for m in range(len(pts))]
+    true, regular = closed(sol), regular_only(sol)
+    moved = np.max(np.abs(regular - true), axis=(1, 2)) > 1e-6
+    assert list(np.flatnonzero(moved)) == [d]
+    assert np.argmax(sol.ode_residual(nodes, regular)) == d
     monkeypatch.setattr(RHSolution, "_closed_residues", regular_only)
-    with pytest.raises(RelationViolated, match=f"branch point {d} "):
+    with pytest.raises(RelationViolated, match="branch point 0 "):
         sol.residue(d)
 
 
 def test_residues_are_checked_once(monkeypatch):
-    # the node checks run on the first residues() call, one per branch
-    # point; later calls return the kept set
+    # the node check runs on the first residues() call, one ode_matrix
+    # call over the M reference nodes; later calls return the kept set
     sol = _sample_solution(2)
-    calls = []
-    residue = RHSolution.residue
+    M = len(sol.curve.points)
+    calls, odes = [], []
+    residue, ode = RHSolution.residue, RHSolution.ode_matrix
 
     def counted(self, n):
         calls.append(n)
         return residue(self, n)
 
+    def counted_ode(self, lam):
+        odes.append(np.shape(lam))
+        return ode(self, lam)
+
     monkeypatch.setattr(RHSolution, "residue", counted)
+    monkeypatch.setattr(RHSolution, "ode_matrix", counted_ode)
     first = sol.residues()
-    assert calls == list(range(len(sol.curve.points)))
+    assert calls == list(range(M))
+    assert odes == [(M,)]
     assert sol.residues() is first
     hamiltonians(sol)
-    assert calls == list(range(len(sol.curve.points)))
+    assert calls == list(range(M))
+    assert odes == [(M,)]
 
 
 def test_routing_failure_names_the_branch_point():
@@ -630,13 +652,15 @@ def test_routing_failure_names_the_branch_point():
 
 def test_logarithmic_derivative_is_rational(sol1):
     rs = sol1.residues()
-    for z in (0.6 + 1.9j, -1.1 - 0.8j):
-        assert sol1.ode_residual(z, rs) < 1e-8
+    zs = [0.6 + 1.9j, -1.1 - 0.8j]
+    err = sol1.ode_residual(zs, rs.matrices)
+    assert err.shape == (2,) and np.all(err < 1e-8)
+    assert sol1.ode_residual(zs[0], rs.matrices) < 1e-8
 
 
 def test_psi_eval_checks_regularity_before_routing(monkeypatch):
-    # at a branch point psi_eval refuses at once, as psi and psi_pair do,
-    # instead of routing there and failing the quadrature
+    # at a branch point psi and psi_pair refuse at once, instead of
+    # routing there and failing the quadrature
     sol = _sample_solution(2)
     routes = []
     route = PeriodData.sheet1_route
@@ -647,7 +671,7 @@ def test_psi_eval_checks_regularity_before_routing(monkeypatch):
 
     monkeypatch.setattr(PeriodData, "sheet1_route", counted)
     for p in sol.curve.points:
-        for evaluate in (sol.psi_eval, sol.psi, sol.psi_pair):
+        for evaluate in (sol.psi, sol.psi_pair):
             with pytest.raises(SingularPoint):
                 evaluate(p)
     assert routes == []
@@ -676,6 +700,19 @@ def test_stacked_points_match_one_by_one(sol2):
         for got, want in zip(pair, single.psi_pair(z)):
             assert (np.max(np.abs(got[j] - want))
                     <= 1e-14 * np.max(np.abs(want)))
+    # the same holds for Abel values on fresh period data, bit for bit,
+    # and for ode_matrix up to the rounding of stacked theta sums
+    fresh = [compute_periods(sol2.curve) for _ in range(2)]
+    U = fresh[0].abel(zs)
+    assert U.shape == (sol2.curve.genus, len(zs))
+    for j, z in enumerate(zs):
+        assert fresh[1].abel(z).tobytes() == U[:, j].tobytes()
+    ode = stacked.ode_matrix(zs)
+    assert ode.shape == (7, 2, 2)
+    for j, z in enumerate(zs):
+        one = single.ode_matrix(z)
+        assert one.shape == (2, 2)
+        assert np.max(np.abs(one - ode[j])) <= 1e-14 * np.max(np.abs(one))
 
 
 def test_singular_points_rejected(sol1):

@@ -1,4 +1,4 @@
-"""Layer timings of routes, the solve grid and the monodromies.
+"""Layer timings of routes, the solve grid, the monodromies and residues.
 
 Usage, from the root of any checkout (the one measured is named by --src):
 
@@ -16,6 +16,9 @@ from ``rhbench/workloads.py`` of this checkout, plus the two samples.
   is null where the checkout has none.
 * ``periods_ms``: ``compute_periods`` on the same curves, median over
   s = 0..2 of the best of --reps.
+* ``residues_ms``: a fresh ``RHSolution`` plus ``residues()`` over fresh
+  period data (built outside the timer), best of --reps; on the same
+  curves the median over s = 0..2, on the samples the one value.
 * ``searches_per_solve``: shortest-path searches in one in-process
   ``solve`` on each curve: ``RouteTree`` builds where the checkout has
   them, ``route`` calls otherwise.
@@ -71,13 +74,23 @@ def main():
     theta = importlib.import_module("rhtheta.theta")
     tree_cls = getattr(geo, "RouteTree", None)
     out = {"src": args.src, "reps": args.reps, "route_ms": {},
-           "periods_ms": {}, "searches_per_solve": {}, "grid_ms": {},
-           "monodromies_ms": {}, "solve_s": {}, "verify_s": {}}
+           "periods_ms": {}, "residues_ms": {}, "searches_per_solve": {},
+           "grid_ms": {}, "monodromies_ms": {}, "solve_s": {},
+           "verify_s": {}}
+
+    def residues_ms(curve, char, lam0):
+        times = []
+        for _ in range(args.reps):
+            pd = hyp.compute_periods(curve)
+            t = time.perf_counter()
+            rh.RHSolution(pd, char, lam0).residues()
+            times.append(time.perf_counter() - t)
+        return 1e3 * min(times)
 
     for g in (1, 2, 3, 4):
-        one, tree, periods = [], [], []
+        one, tree, periods, residues = [], [], [], []
         for s in range(3):
-            pts, lam0, _, rng = seeded(wl, g, s)
+            pts, lam0, char, rng = seeded(wl, g, s)
             curve = hyp.HyperellipticCurve(pts)
             margin = 0.2 * curve.min_separation
             targets = [wl.clear_point(rng, pts, 0.1) for _ in range(30)]
@@ -99,6 +112,7 @@ def main():
 
             periods.append(best_ms(lambda: hyp.compute_periods(curve),
                                    args.reps))
+            residues.append(residues_ms(curve, theta.ThetaChar(*char), lam0))
             one.append(best_ms(one_target, args.reps) / len(targets))
             if tree_cls is not None:
                 tree.append(best_ms(replay, args.reps) / len(targets))
@@ -106,6 +120,7 @@ def main():
             "route": float(np.median(one)),
             "tree": float(np.median(tree)) if tree else None}
         out["periods_ms"][f"g{g}"] = float(np.median(periods))
+        out["residues_ms"][f"g{g}"] = float(np.median(residues))
 
     cases = {f"sample_g{g}": (ROOT / "samples" / f"curve_g{g}.json",
                               ROOT / "samples" / f"char_g{g}.json")
@@ -151,6 +166,8 @@ def main():
             t = time.perf_counter()
             sol.monodromies()
             mono.append(time.perf_counter() - t)
+        if name.startswith("sample"):
+            out["residues_ms"][name] = residues_ms(curve, char, lam0)
         out["grid_ms"][name] = 1e3 * min(grid)
         out["monodromies_ms"][name] = 1e3 * min(mono)
         out["solve_s"][name] = best_ms(lambda: cli.main(solve),
