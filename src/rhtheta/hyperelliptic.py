@@ -164,11 +164,15 @@ class HyperellipticCurve:
         return out if np.ndim(lam) else out[0]
 
     def root_excluding(self, lam, k):
-        """Product of all paired roots except the one of cut k."""
+        """Product of all paired roots except the one of cut k; k is one cut
+        or an array broadcasting against lam, one cut per point, and then
+        each point multiplies by exactly one in place of its own factor."""
         arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-        out = np.ones_like(arr)
+        out, several = np.ones_like(arr), np.ndim(k) > 0
         for j, (a, b) in enumerate(self.cuts):
-            if j != k:
+            if several:
+                out = out * np.where(k == j, 1.0, _pair_factor(arr, a, b))
+            elif j != k:
                 out = out * _pair_factor(arr, a, b)
         return out if np.ndim(lam) else out[0]
 
@@ -256,48 +260,67 @@ class PeriodData:
 
     def _hop(self, m, zs):
         """Integrals of v (g, N) from branch point m straight to each of zs,
-        and the sheet sign (N,) each hop ends on, all in one rule.
+        and the sheet sign (N,) each hop ends on, all in one rule; m is one
+        branch index, or one per point.
 
         Substituting lambda = lambda_m + t^2 (z - lambda_m) removes the
         inverse-square-root singularity at the branch point; the root of the
         own cut is taken from the offset t^2 (z - lambda_m), so no digits
         cancel next to the branch point.  Past a foreign cut a hop goes on
-        on sheet 2.
+        on sheet 2.  All hops share one integrand and converge together.
+        Hops from one branch point leave its cut out of the product of
+        roots; hops from several multiply by one in place of each own
+        cut's root, so hops from one branch point keep their operations.
         """
-        p, zs = self.curve.points[m], np.asarray(zs, dtype=complex)
-        d = zs - p
-        cross = []      # line parameter of each hop's foreign-cut crossing
-        for k, ((a, b), pair) in enumerate(zip(self.curve.cuts,
-                                               self.curve.cut_index_pairs)):
-            if m in pair:
-                # _pair_factor's u -/+ 1 are x + um, x + up
-                own, half = k, 0.5 * (b - a)
-                um, up = (0.0, 2.0) if m == pair[1] else (-2.0, 0.0)
-                continue
-            t, _, hit = crossings(p, zs, a, b, tol=0.0)
-            cross.append(np.where(hit, t, np.inf))
-        cross = np.stack(cross)[:, :, None]
+        zs = np.asarray(zs, dtype=complex)
+        ms = np.ravel(m)
+        names = list(dict.fromkeys(ms.tolist()))
+        # branch point: own cut, and um, up with _pair_factor's u -/+ 1 =
+        # x + um, x + up
+        local = {}
+        for k, (i, j) in enumerate(self.curve.cut_index_pairs):
+            local[i], local[j] = (k, -2.0, 0.0), (k, 0.0, 2.0)
+        if len(names) == 1:
+            p = self.curve.points[names[0]]
+            own, um, up = local[names[0]]
+        else:       # one column entry (N, 1) per hop
+            p = self.curve.points[ms][:, None]
+            own, um, up = (np.array(c)[:, None] for c in zip(
+                *(local[n] for n in ms.tolist())))
+        ab = np.array(self.curve.cuts)
+        half = 0.5 * (ab[own, 1] - ab[own, 0])
+        d = zs[:, None] - p
+        # line parameter of each hop's crossing of each cut foreign to some
+        # hop, inf where the hop misses the cut or owns it
+        foreign = np.ravel(own) != np.arange(len(ab))[:, None]
+        rows = foreign.any(axis=1)
+        t, _, hit = crossings(np.ravel(p), zs, ab[rows, :1], ab[rows, 1:],
+                              tol=0.0)
+        cross = np.where(hit & foreign[rows], t, np.inf)[:, :, None]
 
         def sheet(t):
             return (-1.0) ** np.sum(cross < t ** 2, axis=0)
 
         def f(t):
-            off = t ** 2 * d[:, None]
-            lam, x = (p + off).ravel(), off.ravel() / half
-            w = (half * np.sqrt(x + um) * np.sqrt(x + up) * sheet(t).ravel()
-                 * self.curve.root_excluding(lam, own))
+            off = t ** 2 * d
+            lam, x = p + off, off / half
+            w = (half * np.sqrt(x + um) * np.sqrt(x + up) * sheet(t)
+                 * self.curve.root_excluding(lam, own)).ravel()
+            lam = lam.ravel()
             pw = np.vstack([lam ** be for be in range(self.curve.genus)])
             return ((self.C.T @ (pw / w)).reshape(-1, *off.shape)
-                    * (2.0 * t * d[:, None]))
+                    * (2.0 * t * d))
 
         ends = sheet(np.ones(1))[:, 0]
         try:
             return integrate_segment(f, 0.0, 1.0, tol=1e-12), ends
         except QuadratureFailure as exc:
+            names = [f"{n} ({self.curve.points[n]:.4g})" for n in names]
             shown = [f"{z:.4g}" for z in zs[:3]] + ["..."] * (zs.size > 3)
             raise QuadratureFailure(
-                f"Abel hop from branch point {m} ({p:.4g}) fails to converge "
-                f"on the way to {zs.size} point(s): {', '.join(shown)}") from exc
+                f"Abel hop from branch point{'s' * (len(names) > 1)} "
+                f"{', '.join(names)} fails to converge on the way to "
+                f"{zs.size} point(s): {', '.join(shown)}") from exc
 
     def anchor_point(self):
         """Start of every ``abel`` route, branch point 0's reference node,

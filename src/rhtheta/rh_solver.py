@@ -20,13 +20,24 @@ logarithmic derivative and the divisor case of the residues.  h^2 on sheet
 of a path is a constant +-i, fixed at the normalization point, times the
 sheet-1 continuation; each path continues h once.
 
-Monodromy matrices come from continuing both columns around explicit
-basepointed loops; each continued column lands on the other sheet with a
-period-lattice shift and a spinor sign, and those data give the nonzero
-entries in closed form; the Abel integrals of all loops share one stacked
-call.  Residue matrices come in closed form from theta values and
-derivatives at the Abel images of the branch points; the first ``residue``
-call checks them all against one stacked ``ode_matrix`` call.
+Monodromy matrices come from continuing both columns once around a
+basepointed loop: a spur from the normalization point to an entry e on a
+small circle around lambda_n, the circle, and the spur back.  Each
+continued column lands on the other sheet with a period-lattice shift and
+a spinor sign, and those data give the nonzero entries in closed form.
+The disk holds no branch point but lambda_n, so the loop's Abel integral
+depends only on its spur and on lambda_n: with S the spur's integral,
+sigma its sheet sign at e and (H, s) the straight hop from lambda_n to e
+and its end sheet, it is exactly dU = 2S - 2 sigma s H.  The circle
+contracts onto the hop, in on sheet sigma and out on the other, and the
+way back retraces the spur on the other sheet, where v is negated.  All
+spurs share one many-path integral and all hops one stacked
+``PeriodData._hop``; ``continued_monodromy`` integrates an arbitrary loop
+along its whole polyline and is the closed form's oracle in the tests.
+
+Residue matrices come in closed form from theta values and derivatives at
+the Abel images of the branch points; the first ``residue`` call checks
+them all against one stacked ``ode_matrix`` call.
 
 Psi_lambda Psi^-1 does not depend on the germ: another lattice shift of
 the Abel value or spinor sign multiplies Psi on the right by a constant
@@ -283,13 +294,16 @@ class RHSolution:
         spur.append(entry)
         return spur
 
-    def loop_vertices(self, n):
+    def _loop(self, n):
         """Basepointed polyline encircling branch point n once,
-        counterclockwise: spur out, 16-gon, spur reversed."""
+        counterclockwise (spur out, 16-gon, spur reversed), split at cuts
+        once: returns the vertices, the spur's pieces, and the loop's split
+        (pieces, events).  The spur and the 16-gon are split; the way back
+        retraces the spur's pieces on the sheet the 16-gon ends on."""
         p = self.curve.points[n]
         others = [q for i, q in enumerate(self.curve.points) if i != n]
         dist = min(min(abs(p - q) for q in others), abs(p - self.lambda0))
-        last = None
+        cuts, last = self.curve.cuts, None
         for rf in _LOOP_FACTORS:
             r = rf * dist
             for skew in _ENTRY_SKEWS:
@@ -300,30 +314,40 @@ class RHSolution:
                 for widen in _SPUR_WIDENINGS:
                     try:
                         spur = self._spur(n, entry, widen)
-                        verts = (spur + circle[1:] + [entry]
-                                 + list(reversed(spur))[1:])
-                        split_polyline(self.curve.cuts, verts, closed=False)
-                        return verts
+                        out, ev = split_polyline(cuts, spur, closed=False)
+                        ring, ev_ring = split_polyline(
+                            cuts, circle + [entry], closed=False,
+                            start_sign=out[-1][2])
                     except LoopConstructionFailed as exc:
                         last = exc
+                        continue
+                    flip = (-1.0) ** len(ev_ring)
+                    back = [(zb, za, flip * s) for za, zb, s in reversed(out)]
+                    ev_back = [(k, -flip * s) for k, s in reversed(ev)]
+                    verts = spur + circle[1:] + spur[::-1]
+                    return verts, out, (out + ring + back,
+                                        ev + ev_ring + ev_back)
         raise LoopConstructionFailed(
             f"no clear loop around branch point {n}: {last}")
 
-    def _continue_columns(self, *loops):
-        """Continue both columns along each basepointed polyline.
+    def loop_vertices(self, n):
+        """Basepointed polyline encircling branch point n once,
+        counterclockwise: spur out, 16-gon, spur reversed."""
+        return self._loop(n)[0]
 
-        Returns, per polyline, one MonodromyColumn per starting sheet.  The
-        Abel integrals of all polylines share one stacked call, and each
-        continues the spinor once: the second column's Abel value is the
-        exact negative of the first's, and its spinor, continued along the
-        sign-flipped pieces, the constant ``_flip`` times it.
+    def _continue_columns(self, loops, dUs):
+        """Both columns of each loop, from its split (pieces, events) and the
+        Abel integral dU (g,) of its first column.
+
+        Returns, per loop, one MonodromyColumn per starting sheet.  Each
+        loop continues the spinor once: the second column's Abel value is
+        the exact negative of the first's, and its spinor, continued along
+        the sign-flipped pieces, the constant ``_flip`` times it.  The
+        checks do not trust dU: the continued Abel value must land on the
+        period lattice, and the spinor on a sign of the arrival germ.
         """
-        splits = [split_polyline(self.curve.cuts, verts, closed=False,
-                                 start_sign=1.0) for verts in loops]
-        dUs = integrate_pieces(lambda z, s: self.periods.differentials(z, s),
-                               [pieces for pieces, _ in splits], tol=1e-12)
         out = []
-        for (pieces, events), dU in zip(splits, dUs):
+        for (pieces, events), dU in zip(loops, dUs):
             flips = len(events) % 2
             _, h_end = self.kc.continue_h_along(pieces)
             h_ends = (h_end, self._flip * h_end)
@@ -361,18 +385,38 @@ class RHSolution:
         return M
 
     def continued_monodromy(self, verts):
-        """Monodromy factor of an arbitrary basepointed loop."""
-        cols, = self._continue_columns(verts)
+        """Monodromy factor of an arbitrary basepointed loop, integrated
+        along the whole polyline."""
+        pieces, events = split_polyline(self.curve.cuts, verts, closed=False,
+                                        start_sign=1.0)
+        dU = integrate_pieces(lambda z, s: self.periods.differentials(z, s),
+                              [pieces], tol=1e-12)
+        cols, = self._continue_columns([(pieces, events)], dU)
         M = self._matrix(cols)
         validate_quasi_perm(M)
         return M, cols
 
+    def _loop_integrals(self, ns, spurs):
+        """Abel integrals (N, g) of the loops around branch points ns, from
+        the pieces of their spurs (see ``_loop``): dU = 2S - 2 sigma s H,
+        exact for the reason the module docstring gives, with S the spur
+        integral to the entry e, sigma the sheet sign there and (H, s) the
+        hop from lambda_n to e.  All spurs share one many-path integral and
+        all hops one stacked ``_hop``."""
+        S = integrate_pieces(lambda z, s: self.periods.differentials(z, s),
+                             spurs, tol=1e-12)
+        H, s = self.periods._hop(list(ns), [spur[-1][1] for spur in spurs])
+        sigma = np.array([spur[-1][2] for spur in spurs])
+        return 2.0 * S - 2.0 * (sigma * s)[:, None] * H.T
+
     def _monodromies(self, ns):
         """Monodromy results of the loops around branch points ns, their
-        Abel integrals in one stacked call."""
-        loops = [self.loop_vertices(n) for n in ns]
+        Abel integrals from ``_loop_integrals``."""
+        loops, spurs, splits = zip(*[self._loop(n) for n in ns])
+        dUs = self._loop_integrals(ns, spurs)
         out = []
-        for n, verts, cols in zip(ns, loops, self._continue_columns(*loops)):
+        for n, verts, cols in zip(ns, loops,
+                                  self._continue_columns(splits, dUs)):
             M = self._matrix(cols)
             perm, entries = validate_quasi_perm(M)
             out.append(MonodromyResult(index=n, vertices=verts, matrix=M,

@@ -102,8 +102,9 @@ def test_solve_report_and_csv(tmp_path):
 def test_solve_evaluates_paths_in_bulk(monkeypatch, genus):
     # one route tree per source and clearance rung; the Psi grid takes one
     # many-path integral, one stacked segment call for its one sheet and
-    # one _assemble; the monodromies take one many-path integral and one
-    # stacked segment call per sheet
+    # one _assemble; the monodromies take one many-path integral over the
+    # spurs, one stacked segment call for their one sheet, and one stacked
+    # hop from every loop's branch point to its entry
     trees, log, phase = [], [], ["setup"]
     tree_cls = hyp_mod.RouteTree
 
@@ -133,8 +134,14 @@ def test_solve_evaluates_paths_in_bulk(monkeypatch, genus):
         return logged("segment", segment)(f, z0, z1, tol, max_depth,
                                           _depth=_depth)
 
+    hop = hyp_mod.integrate_segment
+
+    def hopping(f, z0, z1, tol=1e-12, max_depth=10, _depth=0):
+        return logged("hop", hop)(f, z0, z1, tol, max_depth, _depth=_depth)
+
     monkeypatch.setattr(hyp_mod, "RouteTree", building)
     monkeypatch.setattr(quad_mod, "integrate_segment", segmenting)
+    monkeypatch.setattr(hyp_mod, "integrate_segment", hopping)
     # germ routes integrate in hyperelliptic, monodromy loops in rh_solver
     for mod in (hyp_mod, rh_mod):
         monkeypatch.setattr(mod, "integrate_pieces",
@@ -153,7 +160,7 @@ def test_solve_evaluates_paths_in_bulk(monkeypatch, genus):
     assert [w for p, w in log if p == "grid"] == ["pieces", "segment",
                                                   "assemble"]
     assert [w for p, w in log if p == "monodromies"] == ["pieces", "segment",
-                                                         "segment"]
+                                                         "hop"]
 
 
 def test_solve_skips_exactly_the_failing_grid_node(tmp_path, monkeypatch):

@@ -238,6 +238,28 @@ def test_hop_failure_names_branch_point_and_lambda_targets(monkeypatch):
     assert "2 point(s): 2.25+0.5j, 1.5-0.25j" in msg
     assert "[0, 1]" not in msg
     assert isinstance(info.value.__cause__, QuadratureFailure)
+    # a stacked hop names each of its branch points once, in first-use order
+    with pytest.raises(QuadratureFailure) as info:
+        pd._hop([2, 0, 2, 1], [2.25 + 0.5j, 0.25 - 0.5j, 1.5 - 0.25j, 3j])
+    msg = str(info.value)
+    assert "branch points 2 (2+0j), 0 (0+0j), 1 (1+0j) fails" in msg
+    assert "4 point(s): 2.25+0.5j, 0.25-0.5j, 1.5-0.25j, ..." in msg
+    assert "[0, 1]" not in msg
+
+
+def test_stacked_hops_match_hops_one_branch_point_at_a_time():
+    # hops from every branch point in one call, some across a foreign cut,
+    # give each hop's integral and end sheet as a call of its own does
+    pd = compute_periods(HyperellipticCurve([0.0, 1.0, 2.0 - 1j, 2.0 + 1j]))
+    ms = [0, 1, 2, 3, 0, 2]
+    zs = [0.3 + 0.4j, 3.0 + 0.2j, -0.5 + 0.3j, 2.6 + 1.4j, 3.1 - 0.3j,
+          2.5 - 1.2j]
+    dU, ends = pd._hop(ms, zs)
+    for k, (m, z) in enumerate(zip(ms, zs)):
+        one, end = pd._hop(m, [z])
+        assert ends[k] == end[0]
+        assert np.max(np.abs(dU[:, k] - one[:, 0])) < 1e-13
+    assert list(ends) == [1.0, -1.0, -1.0, 1.0, -1.0, 1.0]
 
 
 def test_a_period_failure_names_cut_and_branch_points(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ import rhtheta.hyperelliptic as hyp_mod
 import rhtheta.rh_solver as rh_mod
 from rhtheta.cli import _psi_samples
 from rhtheta.covering import validate_quasi_perm
-from rhtheta.errors import (InconsistentLayout, LoopConstructionFailed,
-                            NotQuasiPermutation, RelationViolated,
-                            RoutingFailure, SingularPoint)
+from rhtheta.errors import (InconsistentLayout, LatticeExtractionFailed,
+                            LoopConstructionFailed, NotQuasiPermutation,
+                            RelationViolated, RoutingFailure, SingularPoint)
 from rhtheta.geometry import split_polyline
 from rhtheta.hyperelliptic import (_CIRCLE_PHASE, HyperellipticCurve,
                                    PeriodData, compute_periods, load_curve)
@@ -20,6 +21,9 @@ from rhtheta.kernels import KernelContext, even_subset_characteristics
 from rhtheta.quadrature import integrate_circle
 from rhtheta.rh_solver import RHSolution
 from rhtheta.theta import ThetaChar
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "rhbench"))
+import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -236,8 +240,10 @@ def test_one_spinor_continuation_per_path(sol1, monkeypatch):
     monkeypatch.setattr(KernelContext, "continue_h_along", counted)
     fresh._germ(0.8 - 1.7j)
     assert len(calls) == 1
-    fresh._continue_columns(fresh.loop_vertices(1))
+    fresh.monodromy(1)
     assert len(calls) == 2
+    fresh.continued_monodromy(fresh.loop_vertices(1))
+    assert len(calls) == 3
 
 
 def test_monodromy_structure(sol1, sol2, mon1, mon2):
@@ -256,6 +262,76 @@ def test_monodromy_structure(sol1, sol2, mon1, mon2):
             assert c1.lattice_residual < 1e-7
             assert r.vertices[0] == sol.lambda0
             assert r.vertices[-1] == sol.lambda0
+
+
+def test_closed_form_loops_match_the_polyline_oracle(monkeypatch):
+    # the closed-form Abel integral of every loop, 2S - 2 sigma s H, against
+    # the whole polyline integrated by continued_monodromy: the samples,
+    # seeded g1-g4 curves of the benchmark recipe, and curves whose foreign
+    # cuts cross loop disks; monodromy(n) alone gives the integers of the
+    # stacked call
+    sols = [_sample_solution(g) for g in (1, 2, 3)]
+    for g in (1, 2, 3, 4):
+        for seed, gap in ([([s, 0, g], {}) for s in range(3)]
+                          + [([7, 1, g], {"gap": (0.0, 0.05)})]):
+            rng = np.random.default_rng(seed)
+            pts = workloads.draw_points(rng, 2 * g + 2, 0.5, **gap)
+            lam0 = workloads.clear_point(rng, pts, 0.15)
+            sols.append(_solution(pts, workloads.random_char(rng, g), lam0))
+    integrals = []      # the Abel integrals each call hands to the columns
+    columns = RHSolution._continue_columns
+
+    def recorded(self, loops, dUs):
+        integrals.append(dUs)
+        return columns(self, loops, dUs)
+
+    monkeypatch.setattr(RHSolution, "_continue_columns", recorded)
+    for sol in sols:
+        results = sol.monodromies()
+        closed = integrals[-1]
+        for n, r in enumerate(results):
+            _, oracle = sol.continued_monodromy(r.vertices)
+            assert np.max(np.abs(closed[n] - integrals[-1][0])) < 1e-12
+            for col, ref, one in zip(r.columns, oracle,
+                                     sol.monodromy(n).columns):
+                for c in (ref, one):
+                    assert (col.end_sheet, col.sigma) == (c.end_sheet, c.sigma)
+                    assert np.array_equal(col.a_index, c.a_index)
+                    assert np.array_equal(col.b_index, c.b_index)
+
+
+def test_closed_form_refuses_a_hop_off_the_circle(sol2, monkeypatch):
+    # a hop to a point 10% outside each loop's circle leaves the continued
+    # Abel value off the lattice
+    fresh = RHSolution(sol2.periods, None, sol2.lambda0, kernel=sol2.kc)
+    hop = PeriodData._hop
+
+    def outside(self, m, zs):
+        p = self.curve.points[np.asarray(m)]
+        return hop(self, m, p + 1.1 * (np.asarray(zs) - p))
+
+    monkeypatch.setattr(PeriodData, "_hop", outside)
+    with pytest.raises(LatticeExtractionFailed, match="off the lattice"):
+        fresh.monodromies()
+
+
+def test_closed_form_hop_from_a_wrong_branch_point_moves_the_integers(
+        sol2, mon2, monkeypatch):
+    # 2 U(lambda_k) is a lattice vector for every branch point, so a hop
+    # from the neighbouring branch point moves dU by a lattice vector: the
+    # lattice check passes, but the integers leave the oracle's and the
+    # product of the monodromies is no longer the identity
+    fresh = RHSolution(sol2.periods, None, sol2.lambda0, kernel=sol2.kc)
+    hop = PeriodData._hop
+    M = len(sol2.curve.points)
+    monkeypatch.setattr(PeriodData, "_hop", lambda self, m, zs: hop(
+        self, (np.asarray(m) + 1) % M, zs))
+    wrong = fresh.monodromies()
+    assert max(c.lattice_residual for r in wrong for c in r.columns) < 1e-7
+    assert any((w.columns[0].a_index != r.columns[0].a_index).any()
+               or (w.columns[0].b_index != r.columns[0].b_index).any()
+               for r, w in zip(mon2, wrong))
+    assert fresh.monodromy_product(wrong)[1] > 0.1
 
 
 def test_full_matrix_is_not_a_quasi_permutation(mon1):

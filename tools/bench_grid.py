@@ -2,9 +2,13 @@
 
 Usage, from the root of any checkout (the one measured is named by --src):
 
-    python3 tools/bench_grid.py --src path/to/checkout/src [--reps 5]
+    python3 tools/bench_grid.py --src path/to/checkout/src [--reps 5] \
+        [--layer monodromies_ms ...]
 
-Prints one JSON object.  Curves are the benchmark's seeded recipe,
+Prints one JSON object.  Each layer is timed in a fresh Python process of
+its own, so its numbers do not depend on what the other layers ran
+before it (caches, allocator state, warm quadrature rules); --layer picks
+layers, all by default.  Curves are the benchmark's seeded recipe,
 ``draw_points(default_rng([s, 0, g]), 2g+2, 0.5)`` with basepoint
 ``clear_point(rng, pts, 0.15)`` and characteristic ``random_char(rng, g)``
 from ``rhbench/workloads.py`` of this checkout, plus the two samples.
@@ -19,14 +23,19 @@ from ``rhbench/workloads.py`` of this checkout, plus the two samples.
 * ``residues_ms``: a fresh ``RHSolution`` plus ``residues()`` over fresh
   period data (built outside the timer), best of --reps; on the same
   curves the median over s = 0..2, on the samples the one value.
+* ``monodromies_ms``: ``RHSolution.monodromies()`` on a fresh solution
+  over fresh period data (built outside the timer), best of --reps; on the
+  same curves and g5 the median over s = 0..2, on the samples the one
+  value.
 * ``searches_per_solve``: shortest-path searches in one in-process
-  ``solve`` on each curve: ``RouteTree`` builds where the checkout has
-  them, ``route`` calls otherwise.
-* ``grid_ms`` and ``monodromies_ms``: ``cli._psi_samples`` and
-  ``RHSolution.monodromies()`` on a fresh solution over fresh period data,
-  best of --reps.
+  ``solve`` on each case (the samples and seeded g3, g4 s = 0):
+  ``RouteTree`` builds where the checkout has them, ``route`` calls
+  otherwise.
+* ``grid_ms``: ``cli._psi_samples`` on a fresh solution over fresh period
+  data, best of --reps, on the same cases.
 * ``solve_s`` and ``verify_s``: in-process ``solve`` and ``verify --suite
-  all --seed 0``, best of --reps (verify: g1 and g2 only).
+  all --seed 0`` on the same cases, best of --reps (verify: the samples
+  only).
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import argparse
 import importlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -54,52 +64,91 @@ def best_ms(fn, reps):
     return 1e3 * min(out)
 
 
-def seeded(wl, g, s):
-    rng = np.random.default_rng([s, 0, g])
-    pts = wl.draw_points(rng, 2 * g + 2, 0.5)
-    return pts, wl.clear_point(rng, pts, 0.15), wl.random_char(rng, g), rng
+class Checkout:
+    """The measured checkout's modules, the seeded curves and the cases."""
 
+    def __init__(self, src, reps):
+        sys.path[:0] = [src, str(ROOT / "rhbench")]
+        self.reps = reps
+        self.wl = importlib.import_module("workloads")
+        self.geo = importlib.import_module("rhtheta.geometry")
+        self.hyp = importlib.import_module("rhtheta.hyperelliptic")
+        self.cli = importlib.import_module("rhtheta.cli")
+        self.rh = importlib.import_module("rhtheta.rh_solver")
+        self.theta = importlib.import_module("rhtheta.theta")
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=str(ROOT / "src"))
-    ap.add_argument("--reps", type=int, default=5)
-    args = ap.parse_args()
-    sys.path[:0] = [args.src, str(ROOT / "rhbench")]
-    wl = importlib.import_module("workloads")
-    geo = importlib.import_module("rhtheta.geometry")
-    hyp = importlib.import_module("rhtheta.hyperelliptic")
-    cli = importlib.import_module("rhtheta.cli")
-    rh = importlib.import_module("rhtheta.rh_solver")
-    theta = importlib.import_module("rhtheta.theta")
-    tree_cls = getattr(geo, "RouteTree", None)
-    out = {"src": args.src, "reps": args.reps, "route_ms": {},
-           "periods_ms": {}, "residues_ms": {}, "searches_per_solve": {},
-           "grid_ms": {}, "monodromies_ms": {}, "solve_s": {},
-           "verify_s": {}}
+    def seeded(self, g, s):
+        """Curve, basepoint, characteristic and the rng after drawing them."""
+        rng = np.random.default_rng([s, 0, g])
+        pts = self.wl.draw_points(rng, 2 * g + 2, 0.5)
+        lam0 = self.wl.clear_point(rng, pts, 0.15)
+        char = self.theta.ThetaChar(*self.wl.random_char(rng, g))
+        return self.hyp.HyperellipticCurve(pts), lam0, char, rng
 
-    def residues_ms(curve, char, lam0):
+    def cases(self, tmp):
+        """name -> (curve path, char path): the samples, seeded g3, g4 s0."""
+        out = {f"sample_g{g}": (ROOT / "samples" / f"curve_g{g}.json",
+                                ROOT / "samples" / f"char_g{g}.json")
+               for g in (1, 2)}
+        for g in (3, 4):
+            rng = np.random.default_rng([0, 0, g])
+            pts = self.wl.draw_points(rng, 2 * g + 2, 0.5)
+            lam0 = self.wl.clear_point(rng, pts, 0.15)
+            char = self.wl.random_char(rng, g)
+            out[f"g{g}_s0"] = self.wl.write_inputs(tmp, f"g{g}", pts, lam0,
+                                                   char)
+        return out
+
+    def load(self, curve_path, char_path):
+        curve, lam0 = self.hyp.load_curve(str(curve_path))
+        with open(char_path) as fh:
+            c = json.load(fh)
+        return curve, lam0, self.theta.ThetaChar(tuple(c["p"]),
+                                                 tuple(c["q"]))
+
+    def fresh_ms(self, curve, lam0, char, op):
+        """Best of reps of op(solution), each on a fresh solution over
+        fresh period data built outside the timer."""
         times = []
-        for _ in range(args.reps):
-            pd = hyp.compute_periods(curve)
+        for _ in range(self.reps):
+            sol = self.rh.RHSolution(self.hyp.compute_periods(curve), char,
+                                     lam0)
             t = time.perf_counter()
-            rh.RHSolution(pd, char, lam0).residues()
+            op(sol)
             times.append(time.perf_counter() - t)
         return 1e3 * min(times)
 
+    def seeded_medians(self, genera, op):
+        """g -> median over s = 0..2 of op(curve, lam0, char, rng)."""
+        return {f"g{g}": float(np.median([op(*self.seeded(g, s))
+                                          for s in range(3)]))
+                for g in genera}
+
+    def sample_values(self, op):
+        """sample name -> op(curve, lam0, char) on the two samples."""
+        with tempfile.TemporaryDirectory() as tmp:
+            return {name: op(*self.load(*paths))
+                    for name, paths in self.cases(tmp).items()
+                    if name.startswith("sample")}
+
+
+def route_ms(ck):
+    out = {}
+    tree_cls = getattr(ck.geo, "RouteTree", None)
     for g in (1, 2, 3, 4):
-        one, tree, periods, residues = [], [], [], []
+        one, tree = [], []
         for s in range(3):
-            pts, lam0, char, rng = seeded(wl, g, s)
-            curve = hyp.HyperellipticCurve(pts)
+            curve, lam0, _, rng = ck.seeded(g, s)
             margin = 0.2 * curve.min_separation
-            targets = [wl.clear_point(rng, pts, 0.1) for _ in range(30)]
+            targets = [ck.wl.clear_point(rng, curve.points, 0.1)
+                       for _ in range(30)]
 
             def one_target():
                 for z in targets:
                     try:
-                        geo.route(lam0, z, curve.cuts, margin, curve.points)
-                    except hyp.RoutingFailure:
+                        ck.geo.route(lam0, z, curve.cuts, margin,
+                                     curve.points)
+                    except ck.hyp.RoutingFailure:
                         pass
 
             def replay():
@@ -107,30 +156,37 @@ def main():
                 for z in targets:
                     try:
                         t.path(z)
-                    except hyp.RoutingFailure:
+                    except ck.hyp.RoutingFailure:
                         pass
 
-            periods.append(best_ms(lambda: hyp.compute_periods(curve),
-                                   args.reps))
-            residues.append(residues_ms(curve, theta.ThetaChar(*char), lam0))
-            one.append(best_ms(one_target, args.reps) / len(targets))
+            one.append(best_ms(one_target, ck.reps) / len(targets))
             if tree_cls is not None:
-                tree.append(best_ms(replay, args.reps) / len(targets))
-        out["route_ms"][f"g{g}"] = {
-            "route": float(np.median(one)),
-            "tree": float(np.median(tree)) if tree else None}
-        out["periods_ms"][f"g{g}"] = float(np.median(periods))
-        out["residues_ms"][f"g{g}"] = float(np.median(residues))
+                tree.append(best_ms(replay, ck.reps) / len(targets))
+        out[f"g{g}"] = {"route": float(np.median(one)),
+                        "tree": float(np.median(tree)) if tree else None}
+    return out
 
-    cases = {f"sample_g{g}": (ROOT / "samples" / f"curve_g{g}.json",
-                              ROOT / "samples" / f"char_g{g}.json")
-             for g in (1, 2)}
-    tmp = tempfile.TemporaryDirectory()
-    for g in (3, 4):
-        pts, lam0, char, _ = seeded(wl, g, 0)
-        cases[f"g{g}_s0"] = wl.write_inputs(tmp.name, f"g{g}", pts, lam0, char)
 
+def periods_ms(ck):
+    return ck.seeded_medians((1, 2, 3, 4), lambda curve, *_: best_ms(
+        lambda: ck.hyp.compute_periods(curve), ck.reps))
+
+
+def residues_ms(ck):
+    def op(curve, lam0, char, *_):
+        return ck.fresh_ms(curve, lam0, char, lambda sol: sol.residues())
+    return {**ck.seeded_medians((1, 2, 3, 4), op), **ck.sample_values(op)}
+
+
+def monodromies_ms(ck):
+    def op(curve, lam0, char, *_):
+        return ck.fresh_ms(curve, lam0, char, lambda sol: sol.monodromies())
+    return {**ck.seeded_medians((1, 2, 3, 4, 5), op), **ck.sample_values(op)}
+
+
+def searches_per_solve(ck):
     searches = []
+    tree_cls = getattr(ck.geo, "RouteTree", None)
     if tree_cls is not None:
         init = tree_cls.__init__
 
@@ -139,46 +195,75 @@ def main():
             init(self, *a, **k)
         tree_cls.__init__ = counted
     else:
-        route = hyp.route
+        route = ck.hyp.route
 
         def counted(*a, **k):
             searches.append(1)
             return route(*a, **k)
-        hyp.route = counted
+        ck.hyp.route = counted
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (curve_path, char_path) in ck.cases(tmp).items():
+            searches.clear()
+            ck.cli.main(["solve", "--curve", str(curve_path), "--char",
+                         str(char_path), "--output", os.devnull])
+            out[name] = len(searches)
+    return out
 
-    for name, (curve_path, char_path) in cases.items():
-        solve = ["solve", "--curve", str(curve_path), "--char",
-                 str(char_path), "--output", os.devnull]
-        searches.clear()
-        cli.main(solve)
-        out["searches_per_solve"][name] = len(searches)
-        curve, lam0 = hyp.load_curve(str(curve_path))
-        with open(char_path) as fh:
-            c = json.load(fh)
-        char = theta.ThetaChar(tuple(c["p"]), tuple(c["q"]))
-        grid, mono = [], []
-        for _ in range(args.reps):
-            sol = rh.RHSolution(hyp.compute_periods(curve), char, lam0)
-            t = time.perf_counter()
-            cli._psi_samples(sol)
-            grid.append(time.perf_counter() - t)
-            sol = rh.RHSolution(hyp.compute_periods(curve), char, lam0)
-            t = time.perf_counter()
-            sol.monodromies()
-            mono.append(time.perf_counter() - t)
-        if name.startswith("sample"):
-            out["residues_ms"][name] = residues_ms(curve, char, lam0)
-        out["grid_ms"][name] = 1e3 * min(grid)
-        out["monodromies_ms"][name] = 1e3 * min(mono)
-        out["solve_s"][name] = best_ms(lambda: cli.main(solve),
-                                       args.reps) / 1e3
-        if name.startswith("sample"):
-            verify = ["verify", "--curve", str(curve_path), "--char",
-                      str(char_path), "--suite", "all", "--seed", "0",
-                      "--output", os.devnull]
-            out["verify_s"][name] = best_ms(lambda: cli.main(verify),
-                                            args.reps) / 1e3
-    tmp.cleanup()
+
+def grid_ms(ck):
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: ck.fresh_ms(*ck.load(*paths), ck.cli._psi_samples)
+                for name, paths in ck.cases(tmp).items()}
+
+
+def _command_s(ck, command, samples_only, *extra):
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (curve_path, char_path) in ck.cases(tmp).items():
+            if samples_only and not name.startswith("sample"):
+                continue
+            argv = [command, "--curve", str(curve_path), "--char",
+                    str(char_path), *extra, "--output", os.devnull]
+            out[name] = best_ms(lambda: ck.cli.main(argv), ck.reps) / 1e3
+    return out
+
+
+def solve_s(ck):
+    return _command_s(ck, "solve", False)
+
+
+def verify_s(ck):
+    return _command_s(ck, "verify", True, "--suite", "all", "--seed", "0")
+
+
+LAYERS = {f.__name__: f for f in (route_ms, periods_ms, residues_ms,
+                                  monodromies_ms, searches_per_solve,
+                                  grid_ms, solve_s, verify_s)}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--reps", type=int, default=5)
+    ap.add_argument("--layer", action="append", choices=LAYERS,
+                    help="layer to time, repeatable; all by default")
+    # set on the child process that times one layer
+    ap.add_argument("--in-process", action="store_true",
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    layers = args.layer or list(LAYERS)
+    if args.in_process:
+        ck = Checkout(args.src, args.reps)
+        print(json.dumps({name: LAYERS[name](ck) for name in layers}))
+        return
+    out = {"src": args.src, "reps": args.reps}
+    for name in layers:
+        child = subprocess.run(
+            [sys.executable, __file__, "--src", args.src, "--reps",
+             str(args.reps), "--layer", name, "--in-process"],
+            capture_output=True, text=True, check=True)
+        out.update(json.loads(child.stdout))
     print(json.dumps(out, indent=1))
 
 
